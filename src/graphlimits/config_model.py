@@ -218,8 +218,7 @@ def sample_uniform_graph(d, rng: np.random.Generator) -> Multigraph:
     stubs = np.repeat(np.arange(1, len(degrees) + 1), degrees)
     rng.shuffle(stubs)
     m = len(stubs) // 2
-    edges = tuple((int(stubs[2 * t]), int(stubs[2 * t + 1])) for t in range(m))
-    return Multigraph(len(degrees), edges)
+    return Multigraph(len(degrees), stubs[:2 * m].reshape(m, 2))
 
 
 def sample_in_class(sys: HalfEdgeSystem, bp: Bipartition, counts: PairingCounts,
@@ -277,6 +276,11 @@ def sample_simple(d, rng: np.random.Generator,
 
 
 def _is_simple(g: Multigraph) -> bool:
+    ends = g.edge_array
+    if ends is not None:
+        # canonical order puts parallel edges in adjacent rows
+        return not ((ends[:, 0] == ends[:, 1]).any()
+                    or (ends[1:] == ends[:-1]).all(axis=1).any())
     seen = set()
     for i, j in g.edges:
         if i == j or (i, j) in seen:

@@ -192,7 +192,7 @@ def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> Degr
     weights = np.array([float(p) for p in mu.probs.values()])
     weights = weights / weights.sum()
     draws = rng.choice(support, size=n, p=weights)
-    return DegreeSequence(tuple(int(x) for x in draws))
+    return DegreeSequence(tuple(draws.tolist()))
 
 
 def mean(mu: DegreeDistribution):

@@ -29,27 +29,62 @@ _SYMMETRY_TOL = 1e-12
 # multigraph
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """Undirected multigraph on vertices 1..n; loops and parallel edges allowed.
 
-    Edges are stored as a sorted tuple of (i, j) pairs with i <= j, so two
-    graphs compare equal exactly when their edge multisets agree.
+    Edges are given as (i, j) pairs or as an (m, 2) integer endpoint array,
+    and canonicalised to ``edges``, sorted pairs with i <= j.  Equality and
+    hashing go over (n, edges), so two graphs compare equal exactly when
+    their edge multisets agree, whichever form they were built from.
+
+    Sampled graphs are built from endpoint arrays and held as such (see
+    :class:`_ArrayMultigraph`): ``edge_array`` is their canonical int64
+    array, and degrees, components and the degree-2 closed forms run
+    vectorised on it.  Graphs built from pairs, the small graphs of the
+    exact solvers and enumerations, have ``edge_array`` None and keep plain
+    loops and attributes, which are faster at that size.  Instances are
+    immutable.
     """
 
-    n: int
-    edges: tuple = ()
+    edge_array = None
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, edges=()):
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
+        return super().__new__(_ArrayMultigraph if isinstance(edges, np.ndarray)
+                               else cls)
+
+    def __init__(self, n: int, edges=()):
         normalized = []
-        for e in self.edges:
+        for e in edges:
             i, j = int(e[0]), int(e[1])
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i}, {j}) outside 1..{self.n}")
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
             normalized.append((i, j) if i <= j else (j, i))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
+
+    def __getnewargs__(self):
+        # unpickling and copying call __new__ with these, then restore the
+        # instance dictionary
+        return (self.n,)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Multigraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Multigraph):
+            return NotImplemented
+        if self.edge_array is None or other.edge_array is None:
+            return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and np.array_equal(self.edge_array,
+                                                    other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Multigraph(n={self.n!r}, edges={self.edges!r})"
 
     @property
     def num_edges(self) -> int:
@@ -92,6 +127,59 @@ class Multigraph:
             raise ValueError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
         pairs = [(int(tokens[2 + 2 * k]), int(tokens[3 + 2 * k])) for k in range(m)]
         return cls(n, tuple(pairs))
+
+
+def _canonical_array(n: int, edges: np.ndarray) -> np.ndarray:
+    """Validate an (m, 2) endpoint array and sort it into canonical order:
+    each row as (min, max), rows in lexicographic order."""
+    if edges.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise ValueError(f"edge array must be (m, 2) integers, got "
+                         f"{edges.dtype} of shape {edges.shape}")
+    if edges.min() < 1 or edges.max() > n:
+        i, j = edges[((edges < 1) | (edges > n)).any(axis=1).argmax()].tolist()
+        raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
+    edges = edges.astype(np.int64, copy=False)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    if n >= 1 << 31:    # lo * (n + 1) + hi could overflow int64
+        order = np.lexsort((hi, lo))
+        return np.column_stack((lo[order], hi[order]))
+    # sorting one packed key is an order of magnitude faster than lexsort
+    key = lo * (n + 1) + hi
+    key.sort()
+    return np.column_stack((key // (n + 1), key % (n + 1)))
+
+
+class _ArrayMultigraph(Multigraph):
+    """What ``Multigraph(n, array)`` returns: a multigraph held as its
+    canonical endpoint array, whose ``edges`` pairs are built on first
+    access."""
+
+    def __init__(self, n: int, edges: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", _canonical_array(n, edges))
+
+    @property
+    def edges(self) -> tuple:
+        if "_edges" not in self.__dict__:
+            lo, hi = self.edge_array.T.tolist()
+            object.__setattr__(self, "_edges", tuple(zip(lo, hi)))
+        return self._edges
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.edge_array)
+
+    def _degree_array(self) -> np.ndarray:
+        return np.bincount(self.edge_array.ravel(), minlength=self.n + 1)[1:]
+
+    def degrees(self) -> tuple:
+        return tuple(self._degree_array().tolist())
+
+    def max_degree(self) -> int:
+        return int(self._degree_array().max(initial=0))
 
 
 def random_multigraph(rng: np.random.Generator, max_vertices: int,
@@ -150,6 +238,32 @@ def _components(g: Multigraph):
     return [(v, e) for v, e in comps]
 
 
+def _component_roots(g: Multigraph) -> np.ndarray:
+    """Smallest (0-based) vertex of each vertex's component, for a graph
+    held as an endpoint array.
+
+    Min-label union: each round hooks every root that shares an edge with a
+    smaller root onto the smallest such root, then pointer jumping flattens
+    every tree to depth one.  Rounds repeat until no edge joins two trees;
+    sampled graphs at n = 200,000 take at most about ten.
+    """
+    ends = g.edge_array - 1
+    u, v = ends[:, 0], ends[:, 1]
+    root = np.arange(g.n)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return root
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 # ---------------------------------------------------------------------------
 # integer-valued parameters
 
@@ -157,6 +271,8 @@ def _components(g: Multigraph):
 def num_components(g: Multigraph) -> int:
     """Number of connected components; isolated vertices count, loops and
     parallel edges are connectivity-neutral."""
+    if g.edge_array is not None:
+        return int(np.count_nonzero(_component_roots(g) == np.arange(g.n)))
     return len(_components(g))
 
 
@@ -164,9 +280,26 @@ def neg_num_components(g: Multigraph) -> int:
     return -num_components(g)
 
 
+def _degree_two_arrays(g: Multigraph) -> tuple:
+    """Vertex and edge counts (with multiplicity) per component of an
+    array-held graph of max degree <= 2, each component checked to be a path
+    or a cycle."""
+    root = _component_roots(g)
+    firsts = np.flatnonzero(root == np.arange(g.n))
+    vertices = np.bincount(root, minlength=g.n)[firsts]
+    edges = np.bincount(root[g.edge_array[:, 0] - 1], minlength=g.n)[firsts]
+    if not np.all((edges == vertices - 1) | (edges == vertices)):
+        raise AssertionError("degree-2 component with unexpected edge count")
+    return vertices, edges
+
+
 def _independence_degree_two(g: Multigraph) -> int:
     # Degree <= 2 graphs split into isolated vertices, paths, and cycles
     # (loops are 1-cycles, double edges 2-cycles).
+    if g.edge_array is not None:
+        # (v + 1) // 2 on a path (e = v - 1), v // 2 on a cycle (e = v)
+        v, e = _degree_two_arrays(g)
+        return int(((2 * v - e) // 2).sum())
     total = 0
     for v, e in _components(g):
         if e == v - 1:          # path, includes isolated vertex
@@ -179,6 +312,10 @@ def _independence_degree_two(g: Multigraph) -> int:
 
 
 def _max_cut_degree_two(g: Multigraph) -> int:
+    if g.edge_array is not None:
+        # every edge crosses, except one on each odd cycle
+        v, e = _degree_two_arrays(g)
+        return int((e - (e % 2) * (e == v)).sum())
     total = 0
     for v, e in _components(g):
         if e == v - 1:          # path: bipartite, every edge crosses

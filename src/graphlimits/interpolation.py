@@ -681,8 +681,10 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         values = {}
         for param in params:
             cache = {}
-            values[param.name] = [cache.setdefault(g, param.evaluate(g))
-                                  for g in graphs]
+            for g in graphs:
+                if g not in cache:
+                    cache[g] = param.evaluate(g)
+            values[param.name] = [cache[g] for g in graphs]
         for bp in bipartitions_of(sys.n):
             summary.instances += 1
             buckets = {}

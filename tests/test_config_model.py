@@ -7,6 +7,7 @@ from scipy import stats
 
 from graphlimits.config_model import (
     Bipartition,
+    _is_simple,
     HalfEdgeSystem,
     Matching,
     PairingCounts,
@@ -187,6 +188,24 @@ def test_sample_in_class_uniform_frequencies():
     sigma = math.sqrt(0.25 / 4000)
     for freq in counts.values():
         assert abs(freq / 4000 - 0.5) < 4 * sigma
+
+
+def test_is_simple_on_edge_array_matches_pair_check():
+    rng = np.random.default_rng(5)
+    verdicts = Counter()
+    for _ in range(500):
+        n = int(rng.integers(1, 8))
+        ends = rng.integers(1, n + 1, size=(int(rng.integers(0, 8)), 2))
+        by_array = Multigraph(n, ends)
+        by_pairs = Multigraph(n, tuple(map(tuple, ends.tolist())))
+        assert by_array.edge_array is not None and by_pairs.edge_array is None
+        simple = _is_simple(by_pairs)
+        assert _is_simple(by_array) == simple
+        has_loop = any(i == j for i, j in by_pairs.edges)
+        has_parallel = len(set(by_pairs.edges)) < by_pairs.num_edges
+        assert simple == (not has_loop and not has_parallel)
+        verdicts[(has_loop, has_parallel)] += 1
+    assert len(verdicts) == 4  # every mix of loops and parallels was seen
 
 
 def test_sample_in_class_infeasible():

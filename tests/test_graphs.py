@@ -1,15 +1,21 @@
 import math
 from itertools import combinations_with_replacement
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphlimits.config_model import sample_uniform_graph
 from graphlimits.graphs import (
     INDEPENDENCE,
     MAX_CUT,
     NEG_COMPONENTS,
     POS_COMPONENTS,
     Multigraph,
+    _independence_degree_two,
+    _max_cut_degree_two,
     certify_parameter,
     increment_matrix,
     independence_number,
@@ -78,6 +84,108 @@ def test_multigraph_rejects_bad_edges():
         Multigraph(2, ((1, 3),))
     with pytest.raises(ValueError):
         Multigraph(-1)
+
+
+def networkx_components(g):
+    oracle = nx.MultiGraph()
+    oracle.add_nodes_from(range(1, g.n + 1))
+    oracle.add_edges_from(g.edges)
+    return nx.number_connected_components(oracle)
+
+
+@st.composite
+def endpoint_lists(draw):
+    """(n, endpoint pairs) with isolated vertices, loops, parallel edges and
+    m = 0 all reachable."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(1, n)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+
+
+@st.composite
+def degree_two_pairings(draw):
+    """(n, pairs) from a random stub pairing with every degree <= 2."""
+    degrees = draw(st.lists(st.integers(0, 2), max_size=30))
+    stubs = draw(st.permutations([v for v, d in enumerate(degrees, 1)
+                                  for _ in range(d)]))
+    return len(degrees), list(zip(stubs[::2], stubs[1::2]))
+
+
+def assert_same_graph(n, pairs):
+    by_pairs = Multigraph(n, tuple(pairs))
+    by_array = Multigraph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    assert by_array.edge_array is not None and by_pairs.edge_array is None
+    assert by_array == by_pairs and by_pairs == by_array
+    assert hash(by_array) == hash(by_pairs)
+    assert by_array.edges == by_pairs.edges
+    assert by_array.num_edges == by_pairs.num_edges == len(pairs)
+    assert by_array.degrees() == by_pairs.degrees()
+    assert by_array.max_degree() == by_pairs.max_degree()
+    assert by_array.to_text() == by_pairs.to_text()
+    assert (num_components(by_array) == num_components(by_pairs)
+            == networkx_components(by_pairs))
+    if by_pairs.max_degree() <= 2:
+        assert independence_number(by_array) == independence_number(by_pairs)
+        assert max_cut(by_array) == max_cut(by_pairs)
+    return by_pairs, by_array
+
+
+@settings(max_examples=300)
+@given(endpoint_lists())
+def test_array_and_pair_graphs_agree(case):
+    assert_same_graph(*case)
+
+
+@settings(max_examples=300)
+@given(degree_two_pairings())
+def test_array_and_pair_graphs_agree_at_degree_two(case):
+    _, by_array = assert_same_graph(*case)
+    assert by_array.max_degree() <= 2
+
+
+def test_array_graph_accepts_any_integer_dtype():
+    pairs = [(3, 1), (2, 2), (1, 3), (4, 1)]
+    expected = Multigraph(4, pairs)
+    for dtype in (np.int32, np.uint16, np.int64):
+        assert Multigraph(4, np.array(pairs, dtype=dtype)) == expected
+    assert Multigraph(4, np.empty((0, 2), dtype=np.int64)) == Multigraph(4)
+    # past 2^31 vertices the packed sort key would overflow
+    huge = 1 << 31
+    assert Multigraph(huge, np.array(pairs)).edges == Multigraph(huge, pairs).edges
+
+
+def test_degree_two_closed_forms_reject_other_components():
+    k4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+    for g in (Multigraph(4, k4), Multigraph(4, np.array(k4))):
+        for closed_form in (_independence_degree_two, _max_cut_degree_two):
+            with pytest.raises(AssertionError, match="unexpected edge count"):
+                closed_form(g)
+
+
+def test_array_graph_rejects_bad_edges():
+    for bad in ([(1, 2), (2, 5)], [(0, 1)]):
+        i, j = bad[-1]
+        with pytest.raises(ValueError, match=rf"edge \({i}, {j}\) outside 1\.\.4"):
+            Multigraph(4, np.array(bad))
+    with pytest.raises(ValueError, match="must be"):
+        Multigraph(4, np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="must be"):
+        Multigraph(4, np.array([1, 2, 3]))
+
+
+def test_large_array_graph_matches_networkx_and_pair_graph():
+    rng = np.random.default_rng(2014)
+    n = 200_000
+    degrees = rng.choice(3, size=n, p=[0.1, 0.4, 0.5])
+    g = sample_uniform_graph(degrees.tolist(), rng)
+    assert g.edge_array is not None and g.max_degree() <= 2
+    assert num_components(g) == networkx_components(g)
+    by_pairs = Multigraph(n, g.edges)
+    assert by_pairs == g and by_pairs.degrees() == g.degrees()
+    assert independence_number(g) == independence_number(by_pairs)
+    assert max_cut(g) == max_cut(by_pairs)
 
 
 def test_text_round_trip():

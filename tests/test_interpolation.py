@@ -10,8 +10,15 @@ from graphlimits.config_model import (
     HalfEdgeSystem,
     PairingCounts,
     enumerate_class,
+    enumerate_matchings,
+    graph_of_matching,
 )
-from graphlimits.graphs import INDEPENDENCE, MAX_CUT, NEG_COMPONENTS
+from graphlimits.graphs import (
+    INDEPENDENCE,
+    MAX_CUT,
+    NEG_COMPONENTS,
+    GraphParameter,
+)
 from graphlimits.interpolation import (
     InterpolationInstance,
     check_corridor_exit,
@@ -317,6 +324,25 @@ def test_run_sweep_small_holds():
     assert all(r.verdict for r in records)
     assert set(summary.checked) == {"lipschitz", "local", "global", "main"}
     assert min(summary.checked.values()) > 0
+
+
+def test_run_sweep_evaluates_each_graph_once_per_degree_function():
+    calls = []
+
+    def evaluate(g):
+        calls.append(g)
+        return INDEPENDENCE.evaluate(g)
+
+    counted = GraphParameter("independence", 1.0, evaluate)
+    summary = run_sweep([counted], max_total_degree=5, max_vertices=3,
+                        checks=("global",))
+    assert summary.all_hold
+    expected = 0
+    for degrees in degree_functions(3, 5):
+        sys = HalfEdgeSystem(degrees)
+        expected += len({graph_of_matching(sys, m)
+                         for m in enumerate_matchings(sys)})
+    assert len(calls) == expected
 
 
 def test_run_sweep_detects_shrunk_penalty():
