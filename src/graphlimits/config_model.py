@@ -11,10 +11,24 @@ inside B, gamma across.  Such a class is non-empty exactly when
 2*alpha + gamma <= d(A) and 2*beta + gamma <= d(B), and it can be sampled
 uniformly by sequential random pairings.  Enumeration at small total degree
 provides exact oracles for all of this.
+
+A matching's pair-type counts and its graph depend only on the induced edge
+multiset, so exact means over matchings are weighted means over multigraphs.
+The number of partial matchings that induce a multigraph G with
+deg_G(i) <= d(i) is
+
+    prod_i d(i)! / (d(i) - deg_G(i))!  /  (prod_e m_e! * 2^loops)
+
+where m_e is the multiplicity of edge e and loops counts self-loops with
+multiplicity: the falling factorials order each vertex's used half-edges,
+and each edge class and each loop's two ends may be permuted freely.
+:func:`enumerate_multigraphs` lists each such G once with that weight; the
+matching enumerators stay as its test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -185,6 +199,18 @@ def counts_of_matching(m: Matching, bp: Bipartition) -> PairingCounts:
     return PairingCounts(alpha, beta, gamma)
 
 
+def counts_of_graph(g: Multigraph, bp: Bipartition) -> PairingCounts:
+    """Pair-type counts shared by every matching that induces ``g``."""
+    a = bp.a
+    alpha = beta = 0
+    for i, j in g.edges:
+        if i in a:
+            alpha += j in a
+        else:
+            beta += j not in a
+    return PairingCounts(alpha, beta, len(g.edges) - alpha - beta)
+
+
 def graph_of_matching(sys: HalfEdgeSystem, m: Matching) -> Multigraph:
     """Multigraph induced by a matching: matched half-edges become edges."""
     for p in m.pairs:
@@ -296,7 +322,52 @@ def _is_simple(g: Multigraph) -> bool:
 def _check_budget(sys: HalfEdgeSystem):
     if sys.total > ENUMERATION_BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: total degree {sys.total} > {ENUMERATION_BUDGET}")
+            f"enumeration budget exceeded: degrees {sys.degrees} have total "
+            f"degree {sys.total} > {ENUMERATION_BUDGET}")
+
+
+def enumerate_multigraphs(sys: HalfEdgeSystem, size: int | None = None) -> list:
+    """Every multigraph G with deg_G(i) <= d(i), once, as (G, weight) pairs.
+
+    The weight is the number of partial matchings that induce G,
+    prod_i d(i)!/(d(i)-deg_G(i))! / (prod_e m_e! * 2^loops), so the weights
+    sum to the number of partial matchings.  With ``size`` only graphs with
+    exactly that many edges are listed; ``size=sys.total // 2`` gives the
+    graphs of the maximal matchings.  The recursion fixes the multiplicity
+    of each vertex pair (i <= j) in lexicographic order, so no graph is
+    produced twice.
+    """
+    _check_budget(sys)
+    degrees = sys.degrees
+    free = list(degrees)
+    active = [i for i, d in enumerate(degrees) if d > 0]
+    pairs = [(i, j) for k, i in enumerate(active) for j in active[k:]]
+    out = []
+
+    def walk(k: int, edges: tuple, symmetry: int):
+        if k == len(pairs):
+            if size is None or len(edges) == size:
+                ways = math.prod(math.perm(d, d - c) for d, c in zip(degrees, free))
+                out.append((Multigraph(sys.n, edges), ways // symmetry))
+            return
+        i, j = pairs[k]
+        cap = free[i] // 2 if i == j else min(free[i], free[j])
+        if size is not None:
+            # every later pair joins vertices >= i
+            if len(edges) + sum(free[v] for v in active if v >= i) // 2 < size:
+                return
+            cap = min(cap, size - len(edges))
+        edge = (i + 1, j + 1)
+        for m in range(cap + 1):
+            free[i] -= m
+            free[j] -= m
+            walk(k + 1, edges + (edge,) * m,
+                 symmetry * math.factorial(m) * (2 ** m if i == j else 1))
+            free[i] += m
+            free[j] += m
+
+    walk(0, (), 1)
+    return out
 
 
 def enumerate_matchings(sys: HalfEdgeSystem) -> list:

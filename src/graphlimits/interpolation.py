@@ -25,22 +25,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from numbers import Rational
 
 import numpy as np
 
 from . import seeding
 from ._parallel import pmap
-from .config_model import (
+# the matching enumerators stay importable here: bench/tracer.py wraps them
+# by name
+from .config_model import (  # noqa: F401
     Bipartition,
     HalfEdgeSystem,
     Matching,
     PairingCounts,
+    counts_of_graph,
     counts_of_matching,
     enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
+    enumerate_multigraphs,
     graph_of_matching,
     sample_in_class,
     sample_uniform_graph,
@@ -66,9 +70,12 @@ class InterpolationInstance:
 
     def __post_init__(self):
         self.bp.check_covers(self.sys)
+        # a sweep reports every inequality of an instance under this label
+        object.__setattr__(self, "_label", f"d={self.sys.degrees} "
+                           f"A={sorted(self.bp.a)} f={self.f.name}")
 
     def describe(self) -> str:
-        return (f"d={self.sys.degrees} A={sorted(self.bp.a)} f={self.f.name}")
+        return self._label
 
 
 @dataclass
@@ -105,17 +112,36 @@ class VerifyResult:
                 repr(self.lhs), repr(self.rhs), repr(self.slack), self.verdict]
 
 
-def _mean(values):
-    """Exact rational mean when every value is rational, float otherwise."""
+def _weighted_mean(values, weights):
+    """Mean of ``values``, the k-th counted ``weights[k]`` times.
+
+    Exact rational when every value is rational; otherwise the float that
+    ``math.fsum`` of the expanded list divided by its length gives, bit for
+    bit: the exact sum, rounded once, is what fsum returns.
+    """
+    count = sum(weights)
     if all(isinstance(v, Rational) for v in values):
-        return Fraction(sum(values), len(values))
-    return math.fsum(float(v) for v in values) / len(values)
+        return Fraction(sum(w * v for v, w in zip(values, weights)), count)
+    floats = [float(v) for v in values]
+    if not all(map(math.isfinite, floats)):
+        return math.fsum(v for v, w in zip(floats, weights)
+                         for _ in range(w)) / count
+    return float(sum(w * Fraction(v) for v, w in zip(floats, weights))) / count
+
+
+def _at_most(lhs, bound) -> bool:
+    """``lhs <= bound``, exactly; a rational lhs meets a finite float bound
+    by integer cross-multiplication instead of Fraction's float coercion."""
+    if type(lhs) is Fraction and type(bound) is float and math.isfinite(bound):
+        num, den = bound.as_integer_ratio()
+        return lhs.numerator * den <= num * lhs.denominator
+    return bool(lhs <= bound)
 
 
 def _result(check, instance, counts, lhs, rhs, tol) -> VerifyResult:
-    verdict = bool(lhs <= rhs + tol)
-    return VerifyResult(check, instance, counts, float(lhs), float(rhs),
-                        float(rhs) - float(lhs), verdict)
+    verdict = _at_most(lhs, rhs + tol)
+    lo, hi = float(lhs), float(rhs)
+    return VerifyResult(check, instance, counts, lo, hi, hi - lo, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +151,17 @@ def _result(check, instance, counts, lhs, rhs, tol) -> VerifyResult:
 def class_mean(inst: InterpolationInstance, counts: PairingCounts):
     """Exact mean of the parameter over the matching class with ``counts``.
 
-    Rational-valued parameters are averaged in exact arithmetic.
+    Averages over the distinct multigraphs of the class, each weighted by
+    the number of matchings that induce it; rational-valued parameters are
+    averaged in exact arithmetic.
     """
-    matchings = enumerate_class(inst.sys, inst.bp, PairingCounts(*counts))
-    if not matchings:
+    counts = PairingCounts(*counts)
+    members = [(g, w) for g, w in enumerate_multigraphs(inst.sys, sum(counts))
+               if counts_of_graph(g, inst.bp) == counts]
+    if not members:
         raise ValueError(f"empty class: counts {tuple(counts)} are infeasible")
-    return _mean([inst.f.evaluate(graph_of_matching(inst.sys, m)) for m in matchings])
+    return _weighted_mean([inst.f.evaluate(g) for g, _ in members],
+                          [w for _, w in members])
 
 
 def _class_mc_value(inst: InterpolationInstance, counts, root: int, i: int) -> float:
@@ -161,7 +192,8 @@ def class_mean_mc(inst: InterpolationInstance, counts: PairingCounts, reps: int,
 def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
     """Exact expectation of f on the prescribed-degree random graph.
 
-    Averages over all maximal matchings of the half-edge system; the degree
+    Averages over the multigraphs of the maximal matchings of the half-edge
+    system, each weighted by its number of maximal matchings; the degree
     multiset determines the value, so results are cached by sorted degrees.
     An empty degree collection contributes the empty graph, value f() = 0
     for every parameter in the suite.
@@ -170,9 +202,9 @@ def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
     if _cache is not None and key in _cache:
         return _cache[key]
     sys = HalfEdgeSystem(key)
-    values = [f.evaluate(graph_of_matching(sys, m))
-              for m in enumerate_maximal_matchings(sys)]
-    out = _mean(values)
+    weighted = enumerate_multigraphs(sys, sys.total // 2)
+    out = _weighted_mean([f.evaluate(g) for g, _ in weighted],
+                         [w for _, w in weighted])
     if _cache is not None:
         _cache[key] = out
     return out
@@ -434,64 +466,64 @@ def feasible_triples(sys: HalfEdgeSystem, bp: Bipartition) -> list:
     return out
 
 
-def _packed_levels(sys: HalfEdgeSystem, bp: Bipartition) -> dict:
-    """History-count DP over all feasible count triples.
+_PACK_LIMIT = 255  # half-edge indices are packed into 8 bits
 
-    Matchings are encoded as frozensets of packed index pairs.  A history is
-    one full run of sequential pairings in canonical order (all A steps,
-    then B, then cross); the count of histories reaching each matching is
-    propagated level by level.  Uniformity of the sequential sampler is
-    equivalent to these counts being constant on every level, because the
-    number of available choices at each step depends only on the level.
+
+def _pack(x: int, y: int) -> int:
+    return (x << 8) | y if x < y else (y << 8) | x
+
+
+def _canonical_order(counts: PairingCounts) -> str:
+    return "A" * counts.alpha + "B" * counts.beta + "X" * counts.gamma
+
+
+def _history_levels(sys: HalfEdgeSystem, bp: Bipartition, orders) -> dict:
+    """History-count DP of the sequential pairing process along step orders.
+
+    Each order is a string over 'A', 'B', 'X' (pair two free half-edges of
+    A, two of B, or one of each).  Returns, for every prefix of every
+    order, the number of histories reaching each matching after those
+    steps; matchings are frozensets of packed half-edge index pairs and
+    orders sharing a prefix share its levels.  Uniformity of the sequential
+    sampler is equivalent to these counts being constant on every level,
+    because the number of available choices at each step depends only on
+    the level.
     """
     hes = sys.half_edges()
-    total = len(hes)
-    a_idx = [k for k in range(total) if bp.side_of(hes[k][0]) == "A"]
-    b_idx = [k for k in range(total) if bp.side_of(hes[k][0]) == "B"]
-
-    def pack(x, y):
-        return (x << 8) | y if x < y else (y << 8) | x
-
-    levels = {PairingCounts(0, 0, 0): {frozenset(): 1}}
-    for triple in sorted(feasible_triples(sys, bp)):
-        if triple == (0, 0, 0):
-            continue
-        if triple.gamma > 0:
-            pred = PairingCounts(triple.alpha, triple.beta, triple.gamma - 1)
-            step = "X"
-        elif triple.beta > 0:
-            pred = PairingCounts(triple.alpha, triple.beta - 1, 0)
-            step = "B"
-        else:
-            pred = PairingCounts(triple.alpha - 1, 0, 0)
-            step = "A"
-        nxt = {}
-        for m, count in levels[pred].items():
-            used = {h for p in m for h in ((p >> 8), (p & 0xFF))}
-            if step == "A":
-                free = [k for k in a_idx if k not in used]
-                extensions = combinations(free, 2)
-            elif step == "B":
-                free = [k for k in b_idx if k not in used]
-                extensions = combinations(free, 2)
-            else:
-                free_a = [k for k in a_idx if k not in used]
-                free_b = [k for k in b_idx if k not in used]
-                extensions = ((x, y) for x in free_a for y in free_b)
-            for x, y in extensions:
-                key = m | {pack(x, y)}
-                nxt[key] = nxt.get(key, 0) + count
-        levels[triple] = nxt
+    if len(hes) > _PACK_LIMIT:
+        raise ValueError(
+            f"history DP packs half-edge indices into 8 bits: degrees "
+            f"{sys.degrees} have {len(hes)} half-edges > {_PACK_LIMIT}")
+    a_idx = [k for k, h in enumerate(hes) if bp.side_of(h[0]) == "A"]
+    b_idx = [k for k, h in enumerate(hes) if bp.side_of(h[0]) == "B"]
+    levels = {"": {frozenset(): 1}}
+    for order in orders:
+        for t in range(1, len(order) + 1):
+            if order[:t] in levels:
+                continue
+            step = order[t - 1]
+            nxt = {}
+            for m, count in levels[order[:t - 1]].items():
+                used = {h for p in m for h in ((p >> 8), (p & 0xFF))}
+                if step == "A":
+                    extensions = combinations(
+                        [k for k in a_idx if k not in used], 2)
+                elif step == "B":
+                    extensions = combinations(
+                        [k for k in b_idx if k not in used], 2)
+                else:
+                    extensions = product([k for k in a_idx if k not in used],
+                                         [k for k in b_idx if k not in used])
+                for x, y in extensions:
+                    key = m | {_pack(x, y)}
+                    nxt[key] = nxt.get(key, 0) + count
+            levels[order[:t]] = nxt
     return levels
 
 
 def _pack_matching(m: Matching, hes: list) -> frozenset:
     index = {h: k for k, h in enumerate(hes)}
-    out = set()
-    for h1, h2 in m.pairs:
-        x, y = index[h1], index[h2]
-        out.add((x << 8) | y if x < y else (y << 8) | x)
-    return frozenset(out)
+    return frozenset(_pack(index[h1], index[h2]) for h1, h2 in m.pairs)
 
 
 def history_counts(sys: HalfEdgeSystem, bp: Bipartition,
@@ -507,36 +539,10 @@ def history_counts(sys: HalfEdgeSystem, bp: Bipartition,
     if not counts.feasible(sys, bp):
         return {}
     if order is None:
-        return _packed_levels(sys, bp)[counts]
-    if sorted(order) != sorted("A" * counts.alpha + "B" * counts.beta
-                               + "X" * counts.gamma):
+        order = _canonical_order(counts)
+    elif sorted(order) != sorted(_canonical_order(counts)):
         raise ValueError("order must contain alpha 'A's, beta 'B's, gamma 'X's")
-    hes = sys.half_edges()
-    total = len(hes)
-    a_idx = {k for k in range(total) if bp.side_of(hes[k][0]) == "A"}
-    b_idx = set(range(total)) - a_idx
-
-    def pack(x, y):
-        return (x << 8) | y if x < y else (y << 8) | x
-
-    level = {frozenset(): 1}
-    for step in order:
-        nxt = {}
-        for m, count in level.items():
-            used = {h for p in m for h in ((p >> 8), (p & 0xFF))}
-            if step == "A":
-                extensions = combinations(sorted(a_idx - used), 2)
-            elif step == "B":
-                extensions = combinations(sorted(b_idx - used), 2)
-            else:
-                free_a = sorted(a_idx - used)
-                free_b = sorted(b_idx - used)
-                extensions = ((x, y) for x in free_a for y in free_b)
-            for x, y in extensions:
-                key = m | {pack(x, y)}
-                nxt[key] = nxt.get(key, 0) + count
-        level = nxt
-    return level
+    return _history_levels(sys, bp, [order])[order]
 
 
 def _step_choices(da: int, db: int, counts: PairingCounts) -> int:
@@ -588,8 +594,10 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
             summary.instances += 1
             da, db = bp.degree_a(sys), bp.degree_b(sys)
             hes = sys.half_edges()
-            levels = _packed_levels(sys, bp)
-            for triple, hist in levels.items():
+            triples = sorted(feasible_triples(sys, bp))
+            levels = _history_levels(sys, bp, map(_canonical_order, triples))
+            for triple in triples:
+                hist = levels[_canonical_order(triple)]
                 summary.classes += 1
                 instance = f"d={degrees} A={sorted(bp.a)} counts={tuple(triple)}"
                 counts_seen = set(hist.values())
@@ -660,12 +668,15 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     """Verify every inequality on every small instance with exact means.
 
     Runs over all degree functions (one per relabeling class), all ordered
-    bipartitions, and all feasible count inputs, for each parameter.  Class
-    means are computed once per instance from the full matching list; the
-    graph values behind them are shared across bipartitions.
+    bipartitions, and all feasible count inputs, for each parameter.  Each
+    degree function's distinct multigraphs are enumerated once with their
+    matching counts as weights and evaluated once per parameter; every
+    bipartition buckets them by pair-type counts, and each class mean is
+    their weighted mean.
     """
     summary = SweepSummary()
-    sub_caches = {param.name: {} for param in params}
+    # indexed by position: distinct parameters may share a name
+    sub_caches = [{} for _ in params]
 
     def emit(result: VerifyResult):
         summary.checked[result.check] += 1
@@ -676,25 +687,20 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
 
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
-        matchings = enumerate_matchings(sys)
-        graphs = [graph_of_matching(sys, m) for m in matchings]
-        values = {}
-        for param in params:
-            cache = {}
-            for g in graphs:
-                if g not in cache:
-                    cache[g] = param.evaluate(g)
-            values[param.name] = [cache[g] for g in graphs]
+        weighted = enumerate_multigraphs(sys)
+        weights = [w for _, w in weighted]
+        values = [[param.evaluate(g) for g, _ in weighted] for param in params]
         for bp in bipartitions_of(sys.n):
             summary.instances += 1
             buckets = {}
-            for k, m in enumerate(matchings):
-                buckets.setdefault(counts_of_matching(m, bp), []).append(k)
+            for k, (g, _) in enumerate(weighted):
+                buckets.setdefault(counts_of_graph(g, bp), []).append(k)
             triples = sorted(buckets)
-            for param in params:
+            for p, param in enumerate(params):
                 inst = InterpolationInstance(sys, bp, param)
-                vals = values[param.name]
-                F = {c: _mean([vals[k] for k in idx])
+                vals = values[p]
+                F = {c: _weighted_mean([vals[k] for k in idx],
+                                       [weights[k] for k in idx])
                      for c, idx in buckets.items()}
                 mean_fn = F.__getitem__
 
@@ -719,5 +725,5 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 if "main" in checks:
                     emit(verify_main(param, degrees, bp, "exact", tol=tol,
                                      penalty_factor=penalty_factor,
-                                     _cache=sub_caches[param.name]))
+                                     _cache=sub_caches[p]))
     return summary

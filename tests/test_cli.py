@@ -185,9 +185,19 @@ def test_cli_outputs_are_reproducible(runner, tmp_path):
 
 
 # sha256 of outputs written by the per-edge-tuple Multigraph that preceded
-# the endpoint-array representation; the seeded streams, the canonical edge
-# order and the CSV formatting must all stay put for these to match
+# the endpoint-array representation, and (interp-verify) by the class means
+# over full matching lists that preceded the weighted multigraph means; the
+# seeded streams, the canonical edge order, the exact means and the CSV/JSON
+# formatting must all stay put for these to match
 GOLDEN = {
+    "interp-verify-sweep": (
+        ["interp-verify", "--sweep", "--max-total-degree", 8, "--param",
+         "independence", "--seed", 7],
+        "477c72d7c9a15b2a89ca640f86447276d03e43156f82b2fb478ec1be1b3458a7"),
+    "interp-verify-sweep-json": (
+        ["interp-verify", "--sweep", "--max-total-degree", 8, "--param",
+         "independence", "--seed", 7, "--format", "json"],
+        "e4e1d80bc44d9cc7b41b3dcb950d7115645f4876f150ee3ecec4bf3e6c3696c3"),
     "sample-degrees": (
         ["sample", "--degrees", "3,3,2,2", "--seed", 7],
         "1c1e30e1c508b8dceeb1b29efed7526107391d93ad0bbc5650582e20dd1768dc"),

@@ -12,10 +12,12 @@ from graphlimits.config_model import (
     Matching,
     PairingCounts,
     RejectionLimitError,
+    counts_of_graph,
     counts_of_matching,
     enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
+    enumerate_multigraphs,
     graph_of_matching,
     sample_in_class,
     sample_simple,
@@ -23,6 +25,7 @@ from graphlimits.config_model import (
     sample_uniform_matching,
 )
 from graphlimits.graphs import Multigraph
+from graphlimits.interpolation import bipartitions_of, degree_functions
 
 SYS22 = HalfEdgeSystem((2, 2))
 BP22 = Bipartition.of(2, [1])
@@ -159,6 +162,55 @@ def test_enumerate_class_partitions_all_matchings():
         got = enumerate_class(sys, bp, counts)
         assert len(got) == expected
         assert len(set(got)) == expected
+
+
+@pytest.mark.parametrize("enumerate_", [
+    enumerate_matchings, enumerate_maximal_matchings, enumerate_multigraphs])
+def test_enumeration_budget_names_the_degrees(enumerate_):
+    with pytest.raises(ValueError, match=r"budget.*degrees \(7, 6\)"):
+        enumerate_(HalfEdgeSystem((7, 6)))
+
+
+def test_enumerate_multigraphs_examples():
+    # (2, 2): the empty graph, a loop at either vertex (1 way each), a single
+    # 1-2 edge (2 * 2 ways), the double edge (4 / 2!) and two loops (4 / 2^2)
+    weighted = dict(enumerate_multigraphs(SYS22))
+    assert weighted == {
+        Multigraph(2, ()): 1, Multigraph(2, [(1, 1)]): 1,
+        Multigraph(2, [(2, 2)]): 1, Multigraph(2, [(1, 2)]): 4,
+        Multigraph(2, [(1, 2), (1, 2)]): 2,
+        Multigraph(2, [(1, 1), (2, 2)]): 1}
+    assert enumerate_multigraphs(HalfEdgeSystem((0, 1, 0, 1)), 1) == [
+        (Multigraph(4, [(2, 4)]), 1)]
+    assert enumerate_multigraphs(SYS22, 3) == []
+
+
+def test_enumerate_multigraphs_match_matching_counts():
+    # each graph's weight is the number of matchings inducing it, on every
+    # degree function with total degree <= 8 on <= 4 vertices
+    for degrees in degree_functions(4, 8):
+        sys = HalfEdgeSystem(degrees)
+        matchings = enumerate_matchings(sys)
+        weighted = enumerate_multigraphs(sys)
+        assert dict(weighted) == Counter(graph_of_matching(sys, m)
+                                         for m in matchings), degrees
+        assert len(dict(weighted)) == len(weighted), degrees
+        assert sum(w for _, w in weighted) == len(matchings), degrees
+        maximal = Counter(graph_of_matching(sys, m)
+                          for m in enumerate_maximal_matchings(sys))
+        assert dict(enumerate_multigraphs(sys, sys.total // 2)) == maximal
+        for size in range(sys.total // 2 + 2):
+            assert enumerate_multigraphs(sys, size) == [
+                (g, w) for g, w in weighted if len(g.edges) == size]
+
+
+def test_counts_of_graph_match_counts_of_matching():
+    for degrees in degree_functions(3, 6):
+        sys = HalfEdgeSystem(degrees)
+        for bp in bipartitions_of(sys.n):
+            for m in enumerate_matchings(sys):
+                assert (counts_of_graph(graph_of_matching(sys, m), bp)
+                        == counts_of_matching(m, bp)), (degrees, m)
 
 
 def test_enumerate_matchings_count():

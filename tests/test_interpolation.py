@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from graphlimits.config_model import (
     PairingCounts,
     enumerate_class,
     enumerate_matchings,
+    enumerate_maximal_matchings,
     graph_of_matching,
 )
 from graphlimits.graphs import (
@@ -18,9 +21,11 @@ from graphlimits.graphs import (
     MAX_CUT,
     NEG_COMPONENTS,
     GraphParameter,
+    ising_parameter,
 )
 from graphlimits.interpolation import (
     InterpolationInstance,
+    _result,
     check_corridor_exit,
     class_mean,
     class_mean_mc,
@@ -28,6 +33,7 @@ from graphlimits.interpolation import (
     degree_functions,
     bipartitions_of,
     expected_parameter,
+    feasible_triples,
     history_counts,
     penalty,
     penalty_constant,
@@ -65,6 +71,35 @@ def test_class_mean_is_exact_rational():
 def test_class_mean_empty_class():
     with pytest.raises(ValueError, match="empty class"):
         class_mean(INST22, PairingCounts(2, 0, 1))
+
+
+def _mean(values):
+    """Mean over the expanded value list: the oracle for weighted means."""
+    if all(isinstance(v, Rational) for v in values):
+        return Fraction(sum(values), len(values))
+    return math.fsum(float(v) for v in values) / len(values)
+
+
+@pytest.mark.parametrize("param", [INDEPENDENCE, ising_parameter(0.5)],
+                         ids=lambda p: p.name)
+def test_class_means_match_matching_oracle(param):
+    # exact equality: the same reduced Fraction, or the same float bits
+    for degrees in degree_functions(3, 6):
+        sys = HalfEdgeSystem(degrees)
+        for bp in bipartitions_of(sys.n):
+            inst = InterpolationInstance(sys, bp, param)
+            for counts in feasible_triples(sys, bp):
+                oracle = _mean([param.evaluate(graph_of_matching(sys, m))
+                                for m in enumerate_class(sys, bp, counts)])
+                got = class_mean(inst, counts)
+                assert type(got) is type(oracle)
+                assert got == oracle, (degrees, sorted(bp.a), counts)
+        # expected_parameter works on the ascending relabeling, where float
+        # values can differ from the original labels in the last bit
+        sys = HalfEdgeSystem(sorted(degrees))
+        oracle = _mean([param.evaluate(graph_of_matching(sys, m))
+                        for m in enumerate_maximal_matchings(sys)])
+        assert expected_parameter(param, degrees) == oracle, degrees
 
 
 def test_class_mean_mc_point_mass():
@@ -191,6 +226,22 @@ def test_verify_main_examples():
     assert degenerate.lhs == pytest.approx(2 / 3)
 
 
+def test_result_verdict_at_the_float_bound():
+    rhs, tol = 1 / 3, 1e-9
+    bound = rhs + tol
+    at = Fraction(bound)
+    above = at + Fraction(1, 10 ** 40)  # rounds to the bound as a float
+    assert float(above) == bound
+    assert _result("t", "i", "c", at, rhs, tol).verdict is True
+    assert _result("t", "i", "c", above, rhs, tol).verdict is False
+    for lhs in (at, above, float(above), 0, Fraction(-1, 3)):
+        assert _result("t", "i", "c", lhs, rhs, tol).verdict == (lhs <= rhs + tol)
+    # non-finite bounds keep the generic comparison
+    assert _result("t", "i", "c", above, math.inf, tol).verdict is True
+    assert _result("t", "i", "c", above, -math.inf, tol).verdict is False
+    assert _result("t", "i", "c", above, math.nan, tol).verdict is False
+
+
 def test_verify_main_mc_matches_exact():
     rng = np.random.default_rng(1)
     exact = verify_main(MAX_CUT, (2, 2, 1, 1), Bipartition.of(4, [1, 2]),
@@ -299,6 +350,12 @@ def test_history_counts_order_irrelevant():
         assert keys == reference, order
 
 
+def test_history_counts_rejects_unpackable_systems():
+    # half-edge indices are packed into 8 bits
+    with pytest.raises(ValueError, match=r"\(128, 128\).*256 half-edges"):
+        history_counts(HalfEdgeSystem((128, 128)), BP22, PairingCounts(0, 0, 1))
+
+
 def test_history_counts_rejects_wrong_order():
     with pytest.raises(ValueError):
         history_counts(SYS22, BP22, PairingCounts(1, 1, 0), "AX")
@@ -343,6 +400,20 @@ def test_run_sweep_evaluates_each_graph_once_per_degree_function():
         expected += len({graph_of_matching(sys, m)
                          for m in enumerate_matchings(sys)})
     assert len(calls) == expected
+
+
+def test_run_sweep_keeps_same_named_parameters_apart():
+    # two distinct parameters sharing a name must not share cached values
+    impostor = GraphParameter("independence", 1.0, MAX_CUT.evaluate)
+
+    def records(params):
+        out = []
+        run_sweep(params, max_total_degree=6, max_vertices=3,
+                  on_record=out.append)
+        return Counter(tuple(r.csv_row()) for r in out)
+
+    assert (records([INDEPENDENCE, impostor])
+            == records([INDEPENDENCE]) + records([impostor]))
 
 
 def test_run_sweep_detects_shrunk_penalty():
