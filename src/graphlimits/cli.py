@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -34,17 +35,13 @@ from .degree import DegreeDistribution, DegreeSequence, sample_iid, wasserstein
 from .graphs import Multigraph, certify_parameter, parameter_from_name
 
 
-def _fail_usage(message: str):
-    raise click.UsageError(message)
-
-
 def _parse_mu(text: str) -> DegreeDistribution:
     try:
         if text.lstrip().startswith("{"):
             return DegreeDistribution.from_json(text)
         return DegreeDistribution.from_json(Path(text).read_text())
     except (ValueError, OSError) as err:
-        _fail_usage(f"bad degree distribution: {err}")
+        raise click.UsageError(f"bad degree distribution: {err}")
 
 
 def _parse_degrees(text: str) -> tuple:
@@ -52,7 +49,7 @@ def _parse_degrees(text: str) -> tuple:
         parts = text.replace(",", " ").split()
         return DegreeSequence(tuple(int(p) for p in parts)).degrees
     except ValueError as err:
-        _fail_usage(f"bad degree sequence: {err}")
+        raise click.UsageError(f"bad degree sequence: {err}")
 
 
 def _parse_vertices(text: str) -> frozenset:
@@ -61,35 +58,98 @@ def _parse_vertices(text: str) -> frozenset:
     try:
         return frozenset(int(p) for p in text.replace(",", " ").split())
     except ValueError as err:
-        _fail_usage(f"bad vertex list: {err}")
+        raise click.UsageError(f"bad vertex list: {err}")
 
 
-def _resolve_param(name: str, beta, q):
-    try:
-        return parameter_from_name(name, beta, q)
-    except ValueError as err:
-        _fail_usage(str(err))
+def _columns(*specs) -> list:
+    """(CSV header, JSON key, value) per column; a bare name is the record
+    attribute of that name, under that name in both formats."""
+    return [s if isinstance(s, tuple) else (s, s, attrgetter(s))
+            for s in specs]
 
 
-def _write_csv(path: str, header: str, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header.split(","))
-        for row in rows:
-            writer.writerow(row)
+def _detail(key: str) -> tuple:
+    return (key, key, lambda v: v.details[key])
 
 
-def _write_json(path: str, payload):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# every command's output columns, as README "Output schemas" documents them;
+# a column without a CSV header is JSON-only, one without a JSON key CSV-only
+_COLUMNS = {
+    # interpolation verdicts: Monte Carlo modes fold their allowance into rhs
+    "verifier": _columns("check", "instance", "counts", "lhs",
+                         ("rhs", "rhs", lambda v: v.rhs + v.allowance),
+                         "slack", "verdict"),
+    # concavity, lipschitz-psi and compare verdicts
+    "inequality": _columns("check", "lhs", "rhs", "allowance", "verdict",
+                           "seed", (None, "details", attrgetter("details"))),
+    # one verdict per epsilon
+    "concentration": _columns(_detail("eps"),
+                              ("freq", "frequency", attrgetter("lhs")),
+                              ("bound", "bound", attrgetter("rhs")),
+                              (None, "sigma", lambda v: v.details["sigma"]),
+                              "verdict"),
+    "walk": _columns(*map(_detail, ("gamma", "delta", "tau", "runs")),
+                     ("frequency", "frequency", attrgetter("lhs")),
+                     ("bound", "bound", attrgetter("rhs")), _detail("sigma"),
+                     "verdict"),
+    # (estimate, row) pairs, one per size
+    "psi": [("param", None, lambda er: er[0].parameter),
+            ("mu", None, lambda er: er[0].mu.to_json()),
+            *((k, k, lambda er, k=k: getattr(er[1], k))
+              for k in ("n", "reps", "mean", "stderr")),
+            ("seed", None, lambda er: er[0].seed)],
+}
 
 
-def _emit_reports(output, fmt, header, reports):
+def _write_records(output, fmt: str, kind: str, records, envelope=None):
+    """Write records in the columns of ``kind``: CSV with a header line, or
+    indented JSON, a list of objects unless ``envelope`` wraps that list."""
     if output is None:
         return
+    columns = _COLUMNS[kind]
     if fmt == "json":
-        _write_json(output, [r.to_json_dict() for r in reports])
-    else:
-        _write_csv(output, header, [r.csv_row() for r in reports])
+        rows = [{key: get(r) for _, key, get in columns if key}
+                for r in records]
+        payload = rows if envelope is None else envelope(rows)
+        Path(output).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    with open(output, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([name for name, _, _ in columns if name])
+        writer.writerows([get(r) for name, _, get in columns if name]
+                         for r in records)
+
+
+def _finish(line: str, slack: float, ok: bool):
+    """Print a check command's stdout line with its smallest slack; a failed
+    verdict exits 1."""
+    click.echo(f"{line} min_slack={slack:.6g}")
+    if not ok:
+        sys.exit(1)
+
+
+def _finish_inequality(command: str, output, fmt: str, v):
+    _write_records(output, fmt, "inequality", [v])
+    _finish(f"{command}: lhs={v.lhs:.6g} rhs={v.rhs:.6g} "
+            f"allowance={v.allowance:.3g} verdict={v.verdict}",
+            v.slack, v.verdict)
+
+
+class _Command(click.Command):
+    """A ValueError from the library (input the options cannot validate,
+    such as --reps 0 or a size beyond an exact solver) is a usage error,
+    exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as err:
+            raise click.UsageError(str(err), ctx) from err
+
+
+class _Group(click.Group):
+    command_class = _Command
 
 
 param_option = click.option("--param", required=True,
@@ -110,7 +170,7 @@ format_option = click.option("--format", "fmt",
                              type=click.Choice(["csv", "json"]), default="csv")
 
 
-@click.group()
+@click.group(cls=_Group)
 def main():
     """Prescribed-degree random graphs, graph parameters, and limit checks."""
 
@@ -131,7 +191,7 @@ def sample(degrees, mu_text, n, simple, max_tries, seed, output):
     elif mu_text is not None and n is not None:
         d = sample_iid(_parse_mu(mu_text), n, rng).degrees
     else:
-        _fail_usage("provide --degrees, or --mu with --n")
+        raise click.UsageError("provide --degrees, or --mu with --n")
     try:
         g = sample_simple(d, rng, max_tries) if simple else sample_uniform_graph(d, rng)
     except RejectionLimitError as err:
@@ -152,11 +212,11 @@ def sample(degrees, mu_text, n, simple, max_tries, seed, output):
 @click.option("--graph", "graph_path", required=True, type=click.Path())
 def eval_command(param, beta, q, graph_path):
     """Evaluate a parameter on a graph file (text format: 'n m' then edges)."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     try:
         g = Multigraph.from_text(Path(graph_path).read_text())
     except (ValueError, OSError) as err:
-        _fail_usage(f"bad graph file: {err}")
+        raise click.UsageError(f"bad graph file: {err}")
     value = f.evaluate(g)
     click.echo(f"{value:g}" if isinstance(value, float) else str(value))
 
@@ -173,7 +233,7 @@ def eval_command(param, beta, q, graph_path):
 def certify(param, beta, q, samples, max_n, max_edges, seed, output):
     """Check additivity, the edge bound, and increment concavity on random
     multigraphs."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     rng = seeding.stream(seed, "certify")
     report = certify_parameter(f, samples, max_n, rng, max_edges)
     if output:
@@ -228,52 +288,53 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
                   alpha2, beta2, gamma2, delta, mode, reps, phi_factor, seed,
                   workers, output, fmt):
     """Verify interpolation inequalities, exhaustively or on one instance."""
-    resolved = [_resolve_param(p, beta, q) for p in params]
+    resolved = [parameter_from_name(p, beta, q) for p in params]
     rng = seeding.stream(seed, "interp-verify")
-    records = []
 
     if sweep:
+        records, least = [], float("inf")
+
+        def on_record(v):
+            nonlocal least
+            least = min(least, v.slack)
+            if output:
+                records.append(v)
+
         summary = itp.run_sweep(resolved, max_total_degree, max_vertices,
-                                penalty_factor=phi_factor,
-                                on_record=records.append if output else None)
-        _emit_reports(output, fmt, itp.VerifyResult.CSV_HEADER, records)
-        click.echo(f"interp-verify: {summary.total_checked} inequalities on "
-                   f"{summary.instances} instances, "
-                   f"{len(summary.violations)} violations")
-        if not summary.all_hold:
-            sys.exit(1)
+                                penalty_factor=phi_factor, on_record=on_record)
+        _write_records(output, fmt, "verifier", records)
+        _finish(f"interp-verify: {summary.total_checked} inequalities on "
+                f"{summary.instances} instances, "
+                f"{len(summary.violations)} violations", least,
+                summary.all_hold)
         return
 
     if degrees is None or side_a is None or check_name is None:
-        _fail_usage("single-instance mode needs --degrees, --side-a, --check")
+        raise click.UsageError(
+            "single-instance mode needs --degrees, --side-a, --check")
     d = _parse_degrees(degrees)
     sys_ = HalfEdgeSystem(d)
     bp = Bipartition.of(sys_.n, _parse_vertices(side_a))
     f = resolved[0]
     counts = PairingCounts(alpha, beta_count, gamma)
-    try:
-        if check_name == "lipschitz":
-            if alpha2 is None or beta2 is None or gamma2 is None:
-                _fail_usage("lipschitz needs --alpha2/--beta2/--gamma2")
-            inst = itp.InterpolationInstance(sys_, bp, f)
-            result = itp.verify_lipschitz(inst, counts,
-                                          PairingCounts(alpha2, beta2, gamma2))
-        elif check_name == "local":
-            inst = itp.InterpolationInstance(sys_, bp, f)
-            result = itp.verify_local_superadd(inst, counts, delta)
-        elif check_name == "global":
-            inst = itp.InterpolationInstance(sys_, bp, f)
-            result = itp.verify_global(inst, gamma, penalty_factor=phi_factor)
-        else:
-            result = itp.verify_main(f, d, bp, mode, rng, reps,
-                                     penalty_factor=phi_factor, workers=workers)
-    except ValueError as err:
-        _fail_usage(str(err))
-    _emit_reports(output, fmt, itp.VerifyResult.CSV_HEADER, [result])
-    click.echo(f"interp-verify: {result.check} lhs={result.lhs:.6g} "
-               f"rhs={result.rhs:.6g} verdict={result.verdict}")
-    if not result.verdict:
-        sys.exit(1)
+    inst = itp.InterpolationInstance(sys_, bp, f)
+    if check_name == "lipschitz":
+        if alpha2 is None or beta2 is None or gamma2 is None:
+            raise click.UsageError(
+                "lipschitz needs --alpha2/--beta2/--gamma2")
+        v = itp.verify_lipschitz(inst, counts,
+                                 PairingCounts(alpha2, beta2, gamma2))
+    elif check_name == "local":
+        v = itp.verify_local_superadd(inst, counts, delta)
+    elif check_name == "global":
+        v = itp.verify_global(inst, gamma, penalty_factor=phi_factor)
+    else:
+        v = itp.verify_main(f, d, bp, mode, rng, reps,
+                            penalty_factor=phi_factor, workers=workers)
+    _write_records(output, fmt, "verifier", [v])
+    _finish(f"interp-verify: {v.check} lhs={v.lhs:.6g} "
+            f"rhs={v.rhs + v.allowance:.6g} verdict={v.verdict}",
+            v.slack, v.verdict)
 
 
 @main.command()
@@ -290,18 +351,15 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
 @format_option
 def psi(param, beta, q, mu_text, n_list, reps, mode, seed, workers, output, fmt):
     """Estimate the per-vertex limit of a parameter under a degree law."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     mu = _parse_mu(mu_text)
     rng = seeding.stream(seed, "psi")
     est = lim.estimate_psi(f, mu, n_list, reps, rng, mode, workers, seed)
-    if output:
-        if fmt == "json":
-            _write_json(output, {"param": est.parameter, "mu": json.loads(est.mu.to_json()),
-                                 "mode": est.mode, "seed": seed,
-                                 "rows": [vars(r) for r in est.rows],
-                                 "psi_hat": est.value})
-        else:
-            _write_csv(output, lim.PsiEstimate.CSV_HEADER, est.csv_rows())
+    _write_records(output, fmt, "psi", [(est, r) for r in est.rows],
+                   lambda rows: {"param": est.parameter,
+                                 "mu": json.loads(est.mu.to_json()),
+                                 "mode": est.mode, "seed": est.seed,
+                                 "rows": rows, "psi_hat": est.value})
     click.echo(f"psi: {f.name} psi_hat={est.value!r} stderr={est.stderr!r} "
                f"(largest n={est.rows[-1].n}, reps={reps})")
 
@@ -322,19 +380,11 @@ def psi(param, beta, q, mu_text, n_list, reps, mode, seed, workers, output, fmt)
 def concavity(param, beta, q, mu_text, mu2_text, n, reps, mode, seed, workers,
               output, fmt):
     """Check midpoint concavity of the limit in the degree distribution."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     rng = seeding.stream(seed, "concavity")
-    try:
-        report = lim.check_midpoint_concavity(f, _parse_mu(mu_text),
-                                              _parse_mu(mu2_text), n, reps,
-                                              rng, mode, workers, seed)
-    except ValueError as err:
-        _fail_usage(str(err))
-    _emit_reports(output, fmt, lim.InequalityReport.CSV_HEADER, [report])
-    click.echo(f"concavity: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-               f"allowance={report.allowance:.3g} verdict={report.verdict}")
-    if not report.verdict:
-        sys.exit(1)
+    v = lim.check_midpoint_concavity(f, _parse_mu(mu_text), _parse_mu(mu2_text),
+                                     n, reps, rng, mode, workers, seed)
+    _finish_inequality("concavity", output, fmt, v)
 
 
 @main.command("lipschitz-psi")
@@ -352,15 +402,11 @@ def concavity(param, beta, q, mu_text, mu2_text, n, reps, mode, seed, workers,
 def lipschitz_psi(param, beta, q, mu_text, mu2_text, n, reps, seed, workers,
                   output, fmt):
     """Check the transport-Lipschitz bound on limit estimates."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     rng = seeding.stream(seed, "lipschitz-psi")
-    report = lim.check_lipschitz_psi(f, _parse_mu(mu_text), _parse_mu(mu2_text),
-                                     n, reps, rng, workers, seed)
-    _emit_reports(output, fmt, lim.InequalityReport.CSV_HEADER, [report])
-    click.echo(f"lipschitz-psi: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-               f"allowance={report.allowance:.3g} verdict={report.verdict}")
-    if not report.verdict:
-        sys.exit(1)
+    v = lim.check_lipschitz_psi(f, _parse_mu(mu_text), _parse_mu(mu2_text),
+                                n, reps, rng, workers, seed)
+    _finish_inequality("lipschitz-psi", output, fmt, v)
 
 
 @main.command()
@@ -379,34 +425,29 @@ def lipschitz_psi(param, beta, q, mu_text, mu2_text, n, reps, seed, workers,
 def concentration(param, beta, q, degrees, constant_degree, n, reps, eps,
                   seed, workers, output, fmt):
     """Empirical tails of f(G_d) against the concentration bound."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     if degrees is not None:
         d = _parse_degrees(degrees)
     elif constant_degree is not None and n is not None:
         d = (constant_degree,) * n
     else:
-        _fail_usage("provide --degrees, or --constant-degree with --n")
+        raise click.UsageError(
+            "provide --degrees, or --constant-degree with --n")
     try:
         eps_grid = [float(x) for x in eps.replace(",", " ").split()]
     except ValueError as err:
-        _fail_usage(f"bad eps grid: {err}")
+        raise click.UsageError(f"bad eps grid: {err}")
     rng = seeding.stream(seed, "concentration")
     report = lim.check_concentration(f, d, reps, eps_grid, rng, workers, seed)
-    if output:
-        if fmt == "json":
-            _write_json(output, {"param": report.parameter, "reps": reps,
+    _write_records(output, fmt, "concentration", report.rows,
+                   lambda rows: {"param": report.parameter,
+                                 "reps": report.reps,
                                  "total_degree": report.total_degree,
-                                 "seed": seed,
-                                 "rows": [vars(r) for r in report.rows]})
-        else:
-            _write_csv(output, lim.ConcentrationReport.CSV_HEADER,
-                       report.csv_rows())
-    worst = min(r.bound + lim.TAIL_SIGMAS * r.sigma - r.frequency
-                for r in report.rows)
-    click.echo(f"concentration: {len(report.rows)} grid points, "
-               f"min margin {worst:.4g}, all_hold={report.all_hold}")
-    if not report.all_hold:
-        sys.exit(1)
+                                 "seed": report.seed, "rows": rows})
+    slack = min(r.slack for r in report.rows)
+    _finish(f"concentration: {len(report.rows)} grid points, "
+            f"min margin {slack:.4g}, all_hold={report.all_hold}",
+            slack, report.all_hold)
 
 
 @main.command()
@@ -423,19 +464,12 @@ def concentration(param, beta, q, degrees, constant_degree, n, reps, eps,
 def compare(param, beta, q, degrees, degrees2, reps, seed, workers, output, fmt):
     """Compare normalized expectations of two degree sequences against the
     transport bound."""
-    f = _resolve_param(param, beta, q)
+    f = parameter_from_name(param, beta, q)
     rng = seeding.stream(seed, "compare")
-    try:
-        report = lim.compare_expectations(f, _parse_degrees(degrees),
-                                          _parse_degrees(degrees2), reps, rng,
-                                          workers, seed)
-    except ValueError as err:
-        _fail_usage(str(err))
-    _emit_reports(output, fmt, lim.InequalityReport.CSV_HEADER, [report])
-    click.echo(f"compare: lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-               f"allowance={report.allowance:.3g} verdict={report.verdict}")
-    if not report.verdict:
-        sys.exit(1)
+    v = lim.compare_expectations(f, _parse_degrees(degrees),
+                                 _parse_degrees(degrees2), reps, rng, workers,
+                                 seed)
+    _finish_inequality("compare", output, fmt, v)
 
 
 @main.command()
@@ -448,21 +482,10 @@ def compare(param, beta, q, degrees, degrees2, reps, seed, workers, output, fmt)
 def walk(gamma, delta, runs, seed, output, fmt):
     """Corridor-exit frequency of the +-1 walk vs the maximal-inequality
     bound."""
-    rng = seeding.stream(seed, "walk")
-    try:
-        report = itp.check_corridor_exit(gamma, delta, runs, rng)
-    except ValueError as err:
-        _fail_usage(str(err))
-    if output:
-        if fmt == "json":
-            _write_json(output, report.to_json_dict())
-        else:
-            _write_csv(output, itp.CorridorExitReport.CSV_HEADER,
-                       [report.csv_row()])
-    click.echo(f"walk: frequency={report.frequency!r} bound={report.bound!r} "
-               f"verdict={report.verdict}")
-    if not report.verdict:
-        sys.exit(1)
+    v = itp.check_corridor_exit(gamma, delta, runs, seeding.stream(seed, "walk"))
+    _write_records(output, fmt, "walk", [v], lambda rows: rows[0])
+    _finish(f"walk: frequency={v.lhs!r} bound={v.rhs!r} verdict={v.verdict}",
+            v.slack, v.verdict)
 
 
 if __name__ == "__main__":

@@ -76,10 +76,6 @@ class HalfEdgeSystem:
         i, k = h
         return 1 <= i <= self.n and 1 <= k <= self.degrees[i - 1]
 
-    def restrict(self, vertices) -> "HalfEdgeSystem":
-        """Subsystem on the given vertices, relabeled 1..|vertices| ascending."""
-        return HalfEdgeSystem(tuple(self.degrees[i - 1] for i in sorted(vertices)))
-
 
 def _pair(h1, h2) -> tuple:
     return (h1, h2) if h1 <= h2 else (h2, h1)
@@ -126,9 +122,6 @@ class Matching:
         if any(c < 0 for c in counts):
             raise ValueError("matching uses more half-edges than the system has")
         return tuple(counts)
-
-    def add(self, h1, h2) -> "Matching":
-        return Matching(self.pairs | {_pair(h1, h2)})
 
 
 @dataclass(frozen=True)

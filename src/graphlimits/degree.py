@@ -193,8 +193,3 @@ def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> Degr
     weights = weights / weights.sum()
     draws = rng.choice(support, size=n, p=weights)
     return DegreeSequence(tuple(draws.tolist()))
-
-
-def mean(mu: DegreeDistribution):
-    """Expected degree of mu."""
-    return mu.mean

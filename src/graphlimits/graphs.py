@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 BRANCH_BOUND_LIMIT = 40     # independence number, general graphs
-BRUTE_FORCE_LIMIT = 20      # subset-enumeration oracle and mis_core
+BRUTE_FORCE_LIMIT = 20      # subset-enumeration oracle
 MAX_CUT_LIMIT = 24          # bipartition enumeration
 STATE_BUDGET = 1 << 24      # weighted spin states per partition-function call
 _SYMMETRY_TOL = 1e-12
@@ -398,19 +398,6 @@ def independence_number_brute(g: Multigraph) -> int:
         return 0
     ok = _independent_masks(g)
     return max(mask.bit_count() for mask in range(len(ok)) if ok[mask])
-
-
-def mis_core(g: Multigraph) -> frozenset:
-    """Vertices belonging to every maximum independent set (n <= 20)."""
-    if g.n == 0:
-        return frozenset()
-    ok = _independent_masks(g)
-    alpha = max(mask.bit_count() for mask in range(len(ok)) if ok[mask])
-    core = (1 << g.n) - 1
-    for mask in range(len(ok)):
-        if ok[mask] and mask.bit_count() == alpha:
-            core &= mask
-    return frozenset(v + 1 for v in range(g.n) if core >> v & 1)
 
 
 def max_cut(g: Multigraph) -> int:

@@ -22,7 +22,7 @@ justified numerically by :func:`penalty_constant`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -31,7 +31,6 @@ from numbers import Rational
 import numpy as np
 
 from . import seeding
-from ._parallel import pmap
 # the matching enumerators stay importable here: bench/tracer.py wraps them
 # by name
 from .config_model import (  # noqa: F401
@@ -47,17 +46,24 @@ from .config_model import (  # noqa: F401
     enumerate_multigraphs,
     graph_of_matching,
     sample_in_class,
-    sample_uniform_graph,
 )
 from .degree import as_degrees
 from .graphs import GraphParameter
+from .limits import (
+    EXPECTATION_SIGMAS,
+    TAIL_SIGMAS,
+    Verdict,
+    graph_values,
+    mean_stderr,
+    replicate,
+)
 
 DEFAULT_TOL = 1e-9
 PENALTY_FACTOR = 7.0
 
 
 # ---------------------------------------------------------------------------
-# instance and report records
+# instances and verdicts
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,40 +82,6 @@ class InterpolationInstance:
 
     def describe(self) -> str:
         return self._label
-
-
-@dataclass
-class VerifyResult:
-    """One checked inequality: lhs <= rhs up to the verdict tolerance.
-
-    ``rhs`` already contains any statistical allowance (Monte Carlo modes
-    widen it by four combined standard errors); ``slack`` is rhs - lhs.
-    """
-
-    check: str
-    instance: str
-    counts: str
-    lhs: float
-    rhs: float
-    slack: float
-    verdict: bool
-
-    CSV_HEADER = "check,instance,counts,lhs,rhs,slack,verdict"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "counts": self.counts,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "verdict": self.verdict,
-        }
-
-    def csv_row(self) -> list:
-        return [self.check, self.instance, self.counts,
-                repr(self.lhs), repr(self.rhs), repr(self.slack), self.verdict]
 
 
 def _weighted_mean(values, weights):
@@ -138,10 +110,12 @@ def _at_most(lhs, bound) -> bool:
     return bool(lhs <= bound)
 
 
-def _result(check, instance, counts, lhs, rhs, tol) -> VerifyResult:
-    verdict = _at_most(lhs, rhs + tol)
-    lo, hi = float(lhs), float(rhs)
-    return VerifyResult(check, instance, counts, lo, hi, hi - lo, verdict)
+def _result(check, instance, counts, lhs, rhs, allowance=0.0) -> Verdict:
+    """Verdict on lhs <= rhs + allowance + DEFAULT_TOL; a zero allowance is
+    not added, so that a rational rhs keeps the comparison exact."""
+    bound = (rhs + allowance if allowance else rhs) + DEFAULT_TOL
+    return Verdict(check, float(lhs), float(rhs), allowance,
+                   _at_most(lhs, bound), instance, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +138,9 @@ def class_mean(inst: InterpolationInstance, counts: PairingCounts):
                           [w for _, w in members])
 
 
-def _class_mc_value(inst: InterpolationInstance, counts, root: int, i: int) -> float:
-    rng = seeding.rep_stream(root, i)
-    m = sample_in_class(inst.sys, inst.bp, PairingCounts(*counts), rng)
+def _class_value(inst: InterpolationInstance, counts: PairingCounts,
+                 rng: np.random.Generator) -> float:
+    m = sample_in_class(inst.sys, inst.bp, counts, rng)
     return float(inst.f.evaluate(graph_of_matching(inst.sys, m)))
 
 
@@ -177,24 +151,21 @@ def class_mean_mc(inst: InterpolationInstance, counts: PairingCounts, reps: int,
     Replication i draws from a substream keyed by i, so the estimate does
     not depend on the worker count.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if not PairingCounts(*counts).feasible(inst.sys, inst.bp):
+    counts = PairingCounts(*counts)
+    if not counts.feasible(inst.sys, inst.bp):
         raise ValueError(f"infeasible pairing counts {tuple(counts)}")
-    root = seeding.fork_root(rng)
-    values = np.array(pmap(partial(_class_mc_value, inst, tuple(counts), root),
-                           reps, workers))
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return mean, stderr
+    return mean_stderr(replicate(partial(_class_value, inst, counts), reps,
+                                 rng, workers))
 
 
 def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
     """Exact expectation of f on the prescribed-degree random graph.
 
     Averages over the multigraphs of the maximal matchings of the half-edge
-    system, each weighted by its number of maximal matchings; the degree
-    multiset determines the value, so results are cached by sorted degrees.
+    system, each weighted by its number of maximal matchings.  Values are
+    computed on the ascending relabeling of the degrees and cached by it:
+    the degree multiset determines the exact mean, but a float-valued
+    parameter averaged under another labeling can differ in the last bit.
     An empty degree collection contributes the empty graph, value f() = 0
     for every parameter in the suite.
     """
@@ -251,8 +222,7 @@ def default_corridor_width(gamma: int) -> int:
 
 
 def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
-                     c2: PairingCounts, tol: float = DEFAULT_TOL,
-                     mean_fn=None) -> VerifyResult:
+                     c2: PairingCounts, mean_fn=None) -> Verdict:
     """|F(c1) - F(c2)| <= kappa * (|da| + |db| + |dg|)."""
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
     c1, c2 = PairingCounts(*c1), PairingCounts(*c2)
@@ -260,12 +230,11 @@ def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
     rhs = inst.f.kappa * (abs(c1.alpha - c2.alpha) + abs(c1.beta - c2.beta)
                           + abs(c1.gamma - c2.gamma))
     return _result("lipschitz", inst.describe(), f"{tuple(c1)}|{tuple(c2)}",
-                   lhs, rhs, tol)
+                   lhs, rhs)
 
 
 def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
-                          delta: int, tol: float = DEFAULT_TOL,
-                          mean_fn=None) -> VerifyResult:
+                          delta: int, mean_fn=None) -> Verdict:
     """(F(a+1,b,g) + F(a,b+1,g)) / 2 <= F(a,b,g+1) + 2*kappa/delta.
 
     Requires delta >= 2 and (a, b, g + delta) feasible, which makes all
@@ -287,12 +256,11 @@ def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
              else 2.0 * kappa / delta)
     rhs = mean_fn(PairingCounts(counts.alpha, counts.beta, counts.gamma + 1)) + slack
     return _result("local", inst.describe(), f"{tuple(counts)} delta={delta}",
-                   lhs, rhs, tol)
+                   lhs, rhs)
 
 
-def verify_global(inst: InterpolationInstance, gamma: int,
-                  tol: float = DEFAULT_TOL, mean_fn=None,
-                  penalty_factor: float = PENALTY_FACTOR) -> VerifyResult:
+def verify_global(inst: InterpolationInstance, gamma: int, mean_fn=None,
+                  penalty_factor: float = PENALTY_FACTOR) -> Verdict:
     """F(dA/2, dB/2, 0) <= F((dA-g)/2, (dB-g)/2, g) + penalty(g), floors
     throughout."""
     da, db = inst.bp.degree_a(inst.sys), inst.bp.degree_b(inst.sys)
@@ -302,32 +270,31 @@ def verify_global(inst: InterpolationInstance, gamma: int,
     lhs = mean_fn(PairingCounts(da // 2, db // 2, 0))
     rhs = (mean_fn(PairingCounts((da - gamma) // 2, (db - gamma) // 2, gamma))
            + penalty(gamma, inst.f.kappa, penalty_factor))
-    return _result("global", inst.describe(), f"gamma={gamma}", lhs, rhs, tol)
+    return _result("global", inst.describe(), f"gamma={gamma}", lhs, rhs)
 
 
 def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact",
                 rng: np.random.Generator | None = None, reps: int = 2000,
-                tol: float = DEFAULT_TOL, penalty_factor: float = PENALTY_FACTOR,
-                workers: int = 1, _cache: dict | None = None) -> VerifyResult:
+                penalty_factor: float = PENALTY_FACTOR, workers: int = 1,
+                _cache: dict | None = None) -> Verdict:
     """E f(sub A) + E f(sub B) <= E f(whole) + penalty(total degree / 2).
 
     Exact mode enumerates maximal matchings (small systems); mc mode
-    estimates the three expectations and widens the bound by four combined
-    standard errors.
+    estimates the three expectations and allows four combined standard
+    errors.
     """
     degrees = as_degrees(degrees) if degrees else ()
     sys = HalfEdgeSystem(degrees)
-    bp.check_covers(sys)
+    instance = InterpolationInstance(sys, bp, f).describe()
     sub_a = tuple(degrees[i - 1] for i in sorted(bp.a))
     sub_b = tuple(degrees[i - 1] for i in sorted(bp.b))
     pen = penalty(sys.total / 2, f.kappa, penalty_factor)
-    instance = f"d={degrees} A={sorted(bp.a)} f={f.name}"
 
     if mode == "exact":
         lhs = (expected_parameter(f, sub_a, _cache)
                + expected_parameter(f, sub_b, _cache))
         rhs = expected_parameter(f, degrees, _cache) + pen
-        return _result("main", instance, "mode=exact", lhs, rhs, tol)
+        return _result("main", instance, "mode=exact", lhs, rhs)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     if rng is None:
@@ -337,95 +304,31 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
 
     estimates = []
     for part in (sub_a, sub_b, degrees):
-        root = seeding.fork_root(rng)
-        if len(part) == 0:
+        if part:
+            estimates.append(mean_stderr(
+                graph_values(f, part, len(part), reps, rng, workers)))
+        else:
+            seeding.fork_root(rng)  # so the other parts keep their streams
             estimates.append((0.0, 0.0))
-            continue
-        values = np.array(pmap(partial(_config_value, f, part, root), reps, workers))
-        se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-        estimates.append((float(values.mean()), se))
     (ma, sa), (mb, sb), (mfull, sfull) = estimates
-    allowance = 4.0 * math.sqrt(sa ** 2 + sb ** 2 + sfull ** 2)
+    allowance = EXPECTATION_SIGMAS * math.sqrt(sa ** 2 + sb ** 2 + sfull ** 2)
     return _result("main", instance, f"mode=mc reps={reps}",
-                   ma + mb, mfull + pen + allowance, tol)
-
-
-def _config_value(f: GraphParameter, degrees: tuple, root: int, i: int) -> float:
-    rng = seeding.rep_stream(root, i)
-    return float(f.evaluate(sample_uniform_graph(degrees, rng)))
+                   ma + mb, mfull + pen, allowance)
 
 
 # ---------------------------------------------------------------------------
 # corridor walk experiment
 
 
-@dataclass(frozen=True)
-class WalkPath:
-    """One +-1 random walk over the horizon tau = gamma - 2*delta.
-
-    ``positions`` holds S_0..S_tau; ``exit_time`` is the first t with
-    |S_t| > delta, or None if the walk stays inside the corridor.  The walk
-    drives a path through count triples: after t steps the cross count is
-    tau - t and the within-side counts have grown by (t + S_t)/2 and
-    (t - S_t)/2 over their starting floors.
-    """
-
-    gamma: int
-    delta: int
-    positions: tuple
-    exit_time: int | None
-
-    @property
-    def tau(self) -> int:
-        return self.gamma - 2 * self.delta
-
-    def count_offsets(self) -> tuple:
-        """Triples (a_off, b_off, g) relative to the gamma-conditioned base."""
-        return tuple(((t + s) // 2, (t - s) // 2, self.tau - t)
-                     for t, s in enumerate(self.positions))
-
-
-def walk_path(gamma: int, delta: int, rng: np.random.Generator) -> WalkPath:
-    if not 2 <= delta <= gamma / 2:
-        raise ValueError("requires 2 <= delta <= gamma / 2")
-    tau = gamma - 2 * delta
-    steps = rng.integers(0, 2, size=tau) * 2 - 1
-    positions = np.concatenate(([0], np.cumsum(steps)))
-    beyond = np.flatnonzero(np.abs(positions) > delta)
-    exit_time = int(beyond[0]) if beyond.size else None
-    return WalkPath(gamma, delta, tuple(int(s) for s in positions), exit_time)
-
-
-@dataclass
-class CorridorExitReport:
-    """Empirical corridor-exit frequency against 2*exp(-(delta+1)^2/(2*tau))."""
-
-    gamma: int
-    delta: int
-    tau: int
-    runs: int
-    frequency: float
-    bound: float
-    sigma: float
-    verdict: bool
-
-    CSV_HEADER = "gamma,delta,tau,runs,frequency,bound,sigma,verdict"
-
-    def csv_row(self) -> list:
-        return [self.gamma, self.delta, self.tau, self.runs,
-                repr(self.frequency), repr(self.bound), repr(self.sigma),
-                self.verdict]
-
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("gamma", "delta", "tau", "runs", "frequency", "bound",
-                 "sigma", "verdict")}
-
-
 def check_corridor_exit(gamma: int, delta: int, runs: int,
-                        rng: np.random.Generator) -> CorridorExitReport:
+                        rng: np.random.Generator) -> Verdict:
     """Estimate P(walk leaves the +-delta corridor within tau steps) and
-    compare it to the maximal-inequality bound plus three binomial sigmas."""
+    compare it to the maximal-inequality bound 2*exp(-(delta+1)^2/(2*tau))
+    plus three binomial sigmas.
+
+    The +-1 walk runs over the horizon tau = gamma - 2*delta; ``details``
+    holds gamma, delta, tau, runs and the binomial sigma.
+    """
     if not 2 <= delta <= gamma / 2:
         raise ValueError("requires 2 <= delta <= gamma / 2")
     if runs < 1:
@@ -433,23 +336,19 @@ def check_corridor_exit(gamma: int, delta: int, runs: int,
     tau = gamma - 2 * delta
     exits = 0
     chunk = 1 << 12
-    done = 0
-    while done < runs:
+    # a walk of no steps never leaves the corridor
+    for done in range(0, runs if tau > 0 else 0, chunk):
         block = min(chunk, runs - done)
-        if tau == 0:
-            done += block
-            continue
         steps = rng.integers(0, 2, size=(block, tau), dtype=np.int8) * 2 - 1
         paths = np.cumsum(steps, axis=1, dtype=np.int32)
         exits += int((np.abs(paths) > delta).any(axis=1).sum())
-        done += block
     frequency = exits / runs
     bound = 2.0 * math.exp(-((delta + 1) ** 2) / (2.0 * tau)) if tau > 0 else 0.0
     p = min(bound, 1.0)
     sigma = math.sqrt(p * (1.0 - p) / runs)
-    verdict = frequency <= bound + 3.0 * sigma
-    return CorridorExitReport(gamma, delta, tau, runs, frequency, bound,
-                              sigma, verdict)
+    return Verdict.of("corridor_exit", frequency, bound, TAIL_SIGMAS * sigma,
+                      gamma=gamma, delta=delta, tau=tau, runs=runs,
+                      sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +460,7 @@ def _step_choices(da: int, db: int, counts: PairingCounts) -> int:
 class UniformitySummary:
     instances: int = 0
     classes: int = 0
-    failures: list = None
-
-    def __post_init__(self):
-        if self.failures is None:
-            self.failures = []
+    failures: list = field(default_factory=list)
 
     @property
     def all_uniform(self) -> bool:
@@ -643,14 +538,9 @@ def bipartitions_of(n: int):
 @dataclass
 class SweepSummary:
     instances: int = 0
-    checked: dict = None
-    violations: list = None
-
-    def __post_init__(self):
-        if self.checked is None:
-            self.checked = {"lipschitz": 0, "local": 0, "global": 0, "main": 0}
-        if self.violations is None:
-            self.violations = []
+    checked: dict = field(default_factory=lambda: dict.fromkeys(
+        ("lipschitz", "local", "global", "main"), 0))
+    violations: list = field(default_factory=list)
 
     @property
     def total_checked(self) -> int:
@@ -663,7 +553,7 @@ class SweepSummary:
 
 def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
               checks=("lipschitz", "local", "global", "main"),
-              tol: float = DEFAULT_TOL, penalty_factor: float = PENALTY_FACTOR,
+              penalty_factor: float = PENALTY_FACTOR,
               on_record=None) -> SweepSummary:
     """Verify every inequality on every small instance with exact means.
 
@@ -678,7 +568,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     # indexed by position: distinct parameters may share a name
     sub_caches = [{} for _ in params]
 
-    def emit(result: VerifyResult):
+    def emit(result: Verdict):
         summary.checked[result.check] += 1
         if not result.verdict:
             summary.violations.append(result)
@@ -708,22 +598,22 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                     for i in range(len(triples)):
                         for j in range(i + 1, len(triples)):
                             emit(verify_lipschitz(inst, triples[i], triples[j],
-                                                  tol, mean_fn))
+                                                  mean_fn))
                 if "local" in checks:
                     for c in triples:
                         delta = 2
                         while PairingCounts(c.alpha, c.beta,
                                             c.gamma + delta) in F:
-                            emit(verify_local_superadd(inst, c, delta, tol,
+                            emit(verify_local_superadd(inst, c, delta,
                                                        mean_fn))
                             delta += 1
                 if "global" in checks:
                     da, db = bp.degree_a(sys), bp.degree_b(sys)
                     for gamma in range(min(da, db) + 1):
-                        emit(verify_global(inst, gamma, tol, mean_fn,
+                        emit(verify_global(inst, gamma, mean_fn,
                                            penalty_factor))
                 if "main" in checks:
-                    emit(verify_main(param, degrees, bp, "exact", tol=tol,
+                    emit(verify_main(param, degrees, bp, "exact",
                                      penalty_factor=penalty_factor,
                                      _cache=sub_caches[p]))
     return summary

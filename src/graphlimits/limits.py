@@ -15,7 +15,7 @@ frequencies get three binomial standard deviations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -61,8 +61,6 @@ class PsiEstimate:
     rows: list
     seed: int | None = None
 
-    CSV_HEADER = "param,mu,n,reps,mean,stderr,seed"
-
     @property
     def value(self) -> float:
         return self.rows[-1].mean
@@ -71,39 +69,37 @@ class PsiEstimate:
     def stderr(self) -> float:
         return self.rows[-1].stderr
 
-    def csv_rows(self) -> list:
-        return [[self.parameter, self.mu.to_json(), r.n, r.reps,
-                 repr(r.mean), repr(r.stderr), self.seed] for r in self.rows]
 
+@dataclass(slots=True)
+class Verdict:
+    """One checked inequality ``lhs <= rhs + allowance``, as every verifier
+    reports it; ``slack`` = rhs + allowance - lhs is negative when it fails.
 
-@dataclass
-class InequalityReport:
-    """lhs <= rhs + allowance, with the margin spelled out."""
+    ``allowance`` covers sampling error (and any declared finite-size gap);
+    exact interpolation checks also pass within an absolute 1e-9.  The
+    context: ``instance`` and ``counts`` of an interpolation check, the base
+    ``seed``, and ``details`` (sizes, distances, eps, binomial sigma).
+    """
 
     check: str
     lhs: float
     rhs: float
     allowance: float
     verdict: bool
+    instance: str | None = None
+    counts: str | None = None
     seed: int | None = None
-    details: dict = field(default_factory=dict)
+    details: dict | None = None
 
-    CSV_HEADER = "check,lhs,rhs,allowance,verdict,seed"
+    @property
+    def slack(self) -> float:
+        return self.rhs + self.allowance - self.lhs
 
-    def csv_row(self) -> list:
-        return [self.check, repr(self.lhs), repr(self.rhs),
-                repr(self.allowance), self.verdict, self.seed]
-
-    def to_json_dict(self) -> dict:
-        return {"check": self.check, "lhs": self.lhs, "rhs": self.rhs,
-                "allowance": self.allowance, "verdict": self.verdict,
-                "seed": self.seed, "details": self.details}
-
-
-def _report(check, lhs, rhs, allowance, seed=None, **details) -> InequalityReport:
-    verdict = bool(lhs <= rhs + allowance)
-    return InequalityReport(check, float(lhs), float(rhs), float(allowance),
-                            verdict, seed, details)
+    @classmethod
+    def of(cls, check: str, lhs, rhs, allowance, seed=None,
+           **details) -> "Verdict":
+        return cls(check, float(lhs), float(rhs), float(allowance),
+                   bool(lhs <= rhs + allowance), seed=seed, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -137,34 +133,49 @@ def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> DegreeSequence:
 # sampling plumbing
 
 
-def _one_value(f: GraphParameter, degrees, mu_probs, n: int, mode: str,
-               root: int, i: int) -> float:
-    rng = seeding.rep_stream(root, i)
-    if mode == "iid":
-        d = sample_iid(DegreeDistribution(dict(mu_probs)), n, rng)
-    else:
-        d = degrees
-    return float(f.evaluate(sample_uniform_graph(d, rng)))
+def replicate(fn, reps: int, rng: np.random.Generator,
+              workers: int = 1) -> np.ndarray:
+    """``[fn(rep_stream(root, i)) for i in range(reps)]`` as an array, with
+    one root forked from ``rng``.
 
-
-def _values(f: GraphParameter, mu: DegreeDistribution | None, degrees,
-            n: int, mode: str, reps: int, rng, workers: int) -> np.ndarray:
+    Replication i always draws from the substream keyed by i, so the values
+    do not depend on the worker count; ``fn`` must be picklable.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     root = seeding.fork_root(rng)
-    mu_probs = tuple(mu.probs.items()) if mu is not None else None
-    fn = partial(_one_value, f, degrees, mu_probs, n, mode, root)
-    try:
-        return np.array(pmap(fn, reps, workers))
-    except ValueError as err:
-        raise ValueError(f"parameter {f.name} failed at n={n}: {err}") from err
+    return np.array(pmap(partial(_replication, fn, root), reps, workers))
 
 
-def _mean_stderr(values: np.ndarray) -> tuple:
+def _replication(fn, root: int, i: int):
+    return fn(seeding.rep_stream(root, i))
+
+
+def mean_stderr(values: np.ndarray) -> tuple:
+    """Sample mean and its standard error (0 for a single value)."""
     reps = len(values)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return mean, stderr
+
+
+def graph_values(f: GraphParameter, source, n: int, reps: int,
+                 rng: np.random.Generator, workers: int = 1) -> np.ndarray:
+    """f on ``reps`` independent configuration-model graphs on n vertices.
+
+    ``source`` is the degree sequence, or a DegreeDistribution from which
+    every replication draws its n degrees iid.
+    """
+    return replicate(partial(_graph_value, f, source, n), reps, rng, workers)
+
+
+def _graph_value(f: GraphParameter, source, n: int, rng) -> float:
+    try:
+        d = (sample_iid(source, n, rng)
+             if isinstance(source, DegreeDistribution) else source)
+        return float(f.evaluate(sample_uniform_graph(d, rng)))
+    except ValueError as err:
+        raise ValueError(f"parameter {f.name} failed at n={n}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +195,9 @@ def estimate_psi(f: GraphParameter, mu: DegreeDistribution, n_list, reps: int,
         raise ValueError("mode must be 'fixed' or 'iid'")
     rows = []
     for n in sorted(int(n) for n in n_list):
-        degrees = fixed_degree_sequence(mu, n) if mode == "fixed" else None
-        values = _values(f, mu if mode == "iid" else None, degrees, n, mode,
-                         reps, rng, workers) / n
-        mean, stderr = _mean_stderr(values)
+        source = mu if mode == "iid" else fixed_degree_sequence(mu, n)
+        mean, stderr = mean_stderr(
+            graph_values(f, source, n, reps, rng, workers) / n)
         rows.append(PsiRow(n, reps, mean, stderr))
     return PsiEstimate(f.name, mu, mode, rows, seed)
 
@@ -202,23 +212,21 @@ def check_superadditivity(f: GraphParameter, mu: DegreeDistribution, n_pairs,
 
     reports = []
     for n1, n2 in n_pairs:
-        parts = []
-        for n in (int(n1), int(n2), int(n1) + int(n2)):
-            vals = _values(f, mu, None, n, "iid", reps, rng, workers)
-            parts.append(_mean_stderr(vals))
-        (m1, s1), (m2, s2), (m12, s12) = parts
+        (m1, s1), (m2, s2), (m12, s12) = (
+            mean_stderr(graph_values(f, mu, n, reps, rng, workers))
+            for n in (int(n1), int(n2), int(n1) + int(n2)))
         allowance = EXPECTATION_SIGMAS * math.sqrt(s1 ** 2 + s2 ** 2 + s12 ** 2)
         pen = penalty(float(mu.mean) / 2.0 * (int(n1) + int(n2)), f.kappa)
-        reports.append(_report("superadditivity", m1 + m2, m12 + pen,
-                               allowance, seed, n1=int(n1), n2=int(n2),
-                               penalty=pen))
+        reports.append(Verdict.of("superadditivity", m1 + m2, m12 + pen,
+                                  allowance, seed, n1=int(n1), n2=int(n2),
+                                  penalty=pen))
     return reports
 
 
 def check_lipschitz_psi(f: GraphParameter, mu: DegreeDistribution,
                         mu2: DegreeDistribution, n: int, reps: int,
                         rng: np.random.Generator, workers: int = 1,
-                        seed: int | None = None) -> InequalityReport:
+                        seed: int | None = None) -> Verdict:
     """|psi_hat(mu) - psi_hat(mu2)| <= 2 * kappa * W(mu, mu2) plus allowances.
 
     Uses fixed-mode sequences, for which the finite-n comparison bound
@@ -228,24 +236,24 @@ def check_lipschitz_psi(f: GraphParameter, mu: DegreeDistribution,
     """
     d1 = fixed_degree_sequence(mu, n)
     d2 = fixed_degree_sequence(mu2, n)
-    v1 = _values(f, None, d1, n, "fixed", reps, rng, workers) / n
-    v2 = _values(f, None, d2, n, "fixed", reps, rng, workers) / n
-    (m1, s1), (m2, s2) = _mean_stderr(v1), _mean_stderr(v2)
+    (m1, s1), (m2, s2) = (
+        mean_stderr(graph_values(f, seq, n, reps, rng, workers) / n)
+        for seq in (d1, d2))
     dist = float(wasserstein(mu, mu2))
     dist_emp = float(wasserstein(empirical(d1), empirical(d2)))
     finite_n = max(0.0, 2.0 * f.kappa * (dist_emp - dist))
     statistical = EXPECTATION_SIGMAS * math.sqrt(s1 ** 2 + s2 ** 2)
-    return _report("lipschitz_psi", abs(m1 - m2), 2.0 * f.kappa * dist,
-                   statistical + finite_n, seed, n=n,
-                   wasserstein=dist, wasserstein_empirical=dist_emp,
-                   finite_n_allowance=finite_n)
+    return Verdict.of("lipschitz_psi", abs(m1 - m2), 2.0 * f.kappa * dist,
+                      statistical + finite_n, seed, n=n,
+                      wasserstein=dist, wasserstein_empirical=dist_emp,
+                      finite_n_allowance=finite_n)
 
 
 def check_midpoint_concavity(f: GraphParameter, mu: DegreeDistribution,
                              mu2: DegreeDistribution, n: int, reps: int,
                              rng: np.random.Generator, mode: str = "iid",
                              workers: int = 1,
-                             seed: int | None = None) -> InequalityReport:
+                             seed: int | None = None) -> Verdict:
     """psi_hat((mu + mu2)/2) >= (psi_hat(mu) + psi_hat(mu2)) / 2 - allowance.
 
     n must be even so the mixture is realizable by a half/half split.
@@ -253,30 +261,21 @@ def check_midpoint_concavity(f: GraphParameter, mu: DegreeDistribution,
     if n % 2:
         raise ValueError("n must be even")
     mix = DegreeDistribution.mix(mu, mu2)
-    est = {}
-    for name, m in (("mu", mu), ("mu2", mu2), ("mix", mix)):
-        psi = estimate_psi(f, m, [n], reps, rng, mode, workers)
-        est[name] = (psi.value, psi.stderr)
-    (v1, s1), (v2, s2), (vm, sm) = est["mu"], est["mu2"], est["mix"]
+    estimates = [estimate_psi(f, m, [n], reps, rng, mode, workers)
+                 for m in (mu, mu2, mix)]
+    (v1, s1), (v2, s2), (vm, sm) = ((e.value, e.stderr) for e in estimates)
     allowance = EXPECTATION_SIGMAS * math.sqrt((s1 / 2) ** 2 + (s2 / 2) ** 2
                                                + sm ** 2)
     # lhs <= rhs + allowance with lhs the midpoint average, rhs the mixture
-    return _report("midpoint_concavity", (v1 + v2) / 2.0, vm, allowance, seed,
-                   n=n, psi_mu=v1, psi_mu2=v2, psi_mix=vm)
-
-
-@dataclass
-class ConcentrationRow:
-    eps: float
-    frequency: float
-    bound: float
-    sigma: float
-    verdict: bool
+    return Verdict.of("midpoint_concavity", (v1 + v2) / 2.0, vm, allowance,
+                      seed, n=n, psi_mu=v1, psi_mu2=v2, psi_mix=vm)
 
 
 @dataclass
 class ConcentrationReport:
-    """Empirical tails of f(G_d) against exp(-eps^2 / (4 kappa^2 sum d))."""
+    """Empirical tails of f(G_d) against exp(-eps^2 / (4 kappa^2 sum d)),
+    one Verdict per epsilon: tail frequency <= bound + three binomial
+    sigmas, with ``eps`` and ``sigma`` in its details."""
 
     parameter: str
     degrees: tuple
@@ -286,15 +285,9 @@ class ConcentrationReport:
     rows: list
     seed: int | None = None
 
-    CSV_HEADER = "eps,freq,bound,verdict"
-
     @property
     def all_hold(self) -> bool:
         return all(r.verdict for r in self.rows)
-
-    def csv_rows(self) -> list:
-        return [[repr(r.eps), repr(r.frequency), repr(r.bound), r.verdict]
-                for r in self.rows]
 
 
 def concentration_bound(eps: float, kappa: float, total_degree: int) -> float:
@@ -309,8 +302,10 @@ def check_concentration(f: GraphParameter, d, reps: int, eps_grid,
                         seed: int | None = None) -> ConcentrationReport:
     """Tail frequencies of |f(G_d) - mean| over replications, checked
     against the concentration bound plus three binomial sigmas per epsilon."""
+    if not eps_grid:
+        raise ValueError("the eps grid is empty")
     degrees = as_degrees(d)
-    values = _values(f, None, degrees, len(degrees), "fixed", reps, rng, workers)
+    values = graph_values(f, degrees, len(degrees), reps, rng, workers)
     center = values.mean()
     total = int(sum(degrees))
     rows = []
@@ -320,14 +315,14 @@ def check_concentration(f: GraphParameter, d, reps: int, eps_grid,
         bound = concentration_bound(eps, f.kappa, total)
         p = min(bound, 1.0)
         sigma = math.sqrt(p * (1.0 - p) / reps)
-        rows.append(ConcentrationRow(eps, freq, bound, sigma,
-                                     freq <= bound + TAIL_SIGMAS * sigma))
+        rows.append(Verdict.of("concentration", freq, bound,
+                               TAIL_SIGMAS * sigma, seed, eps=eps, sigma=sigma))
     return ConcentrationReport(f.name, degrees, reps, f.kappa, total, rows, seed)
 
 
 def compare_expectations(f: GraphParameter, d, d2, reps: int,
                          rng: np.random.Generator, workers: int = 1,
-                         seed: int | None = None) -> InequalityReport:
+                         seed: int | None = None) -> Verdict:
     """|E f(G_d) - E f(G_d2)| / n <= 2 * kappa * W(empirical, empirical),
     estimated with a 4-sigma allowance."""
     a = as_degrees(d)
@@ -335,10 +330,11 @@ def compare_expectations(f: GraphParameter, d, d2, reps: int,
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    va = _values(f, None, a, n, "fixed", reps, rng, workers) / n
-    vb = _values(f, None, b, n, "fixed", reps, rng, workers) / n
-    (ma, sa), (mb, sb) = _mean_stderr(va), _mean_stderr(vb)
+    (ma, sa), (mb, sb) = (
+        mean_stderr(graph_values(f, seq, n, reps, rng, workers) / n)
+        for seq in (a, b))
     dist = float(wasserstein(empirical(a), empirical(b)))
     allowance = EXPECTATION_SIGMAS * math.sqrt(sa ** 2 + sb ** 2)
-    return _report("compare_expectations", abs(ma - mb), 2.0 * f.kappa * dist,
-                   allowance, seed, n=n, wasserstein=dist)
+    return Verdict.of("compare_expectations", abs(ma - mb),
+                      2.0 * f.kappa * dist, allowance, seed, n=n,
+                      wasserstein=dist)

@@ -179,7 +179,7 @@ def test_criterion_08_concentration():
                                  np.random.default_rng(500))
     spot = concentration_bound(40.0, 1.0, 600)
     spot_ok = abs(spot - math.exp(-2 / 3)) <= 1e-15
-    detail = (f"tails={[(r.eps, r.frequency) for r in report.rows]}, "
+    detail = (f"tails={[(r.details['eps'], r.lhs) for r in report.rows]}, "
               f"bound(40)={spot:.6f}")
     _finish(8, t0, 120, report.all_hold and spot_ok, detail)
 
@@ -187,8 +187,8 @@ def test_criterion_08_concentration():
 def test_criterion_09_corridor_exit_bound():
     t0 = time.time()
     report = check_corridor_exit(200, 14, 100_000, np.random.default_rng(600))
-    detail = (f"freq={report.frequency:.4f} <= bound={report.bound:.4f} "
-              f"+ 3*{report.sigma:.6f}")
+    detail = (f"freq={report.lhs:.4f} <= bound={report.rhs:.4f} "
+              f"+ 3*{report.details['sigma']:.6f}")
     _finish(9, t0, 60, report.verdict, detail)
 
 

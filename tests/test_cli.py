@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from graphlimits.cli import main
 from graphlimits.graphs import Multigraph
+from graphlimits.interpolation import penalty
 
 TRIANGLE = "3 3\n1 2\n2 3\n1 3\n"
 
@@ -142,6 +143,26 @@ def test_interp_verify_single_instance(runner):
     assert result.exit_code == 0
 
 
+def _min_slack(output):
+    return float(output.strip().rsplit("min_slack=", 1)[1])
+
+
+def test_check_commands_report_their_smallest_slack(runner):
+    result = invoke(runner, "interp-verify", "--degrees", "2,2",
+                    "--side-a", "1", "--check", "global", "--gamma", 2,
+                    "--param", "independence", "--seed", 1)
+    assert result.exit_code == 0
+    # exact check: slack = rhs - lhs, with lhs = 0 here
+    assert _min_slack(result.output) == pytest.approx(1 + penalty(2, 1.0),
+                                                      rel=1e-5)
+    result = invoke(runner, "interp-verify", "--sweep",
+                    "--max-total-degree", 2, "--max-vertices", 2,
+                    "--param", "independence", "--phi-factor", 0.01,
+                    "--seed", 7)
+    assert result.exit_code == 1
+    assert _min_slack(result.output) < 0
+
+
 def test_interp_verify_single_instance_usage_errors(runner):
     result = invoke(runner, "interp-verify", "--degrees", "2,2",
                     "--side-a", "1", "--param", "independence", "--seed", 1)
@@ -185,10 +206,11 @@ def test_cli_outputs_are_reproducible(runner, tmp_path):
 
 
 # sha256 of outputs written by the per-edge-tuple Multigraph that preceded
-# the endpoint-array representation, and (interp-verify) by the class means
-# over full matching lists that preceded the weighted multigraph means; the
-# seeded streams, the canonical edge order, the exact means and the CSV/JSON
-# formatting must all stay put for these to match
+# the endpoint-array representation, (interp-verify sweep) by the class means
+# over full matching lists that preceded the weighted multigraph means, and
+# (the rest) by the per-family report records that preceded the one verdict
+# record and output writer; the seeded streams, the canonical edge order, the
+# exact means and the CSV/JSON formatting must all stay put for these to match
 GOLDEN = {
     "interp-verify-sweep": (
         ["interp-verify", "--sweep", "--max-total-degree", 8, "--param",
@@ -222,7 +244,94 @@ GOLDEN = {
          "--n", 3000, "--reps", 4, "--mode", "iid", "--seed", 5,
          "--workers", 1],
         "2a0d74dd15911e62a60d9da6bf3e7a44f1fdb28bd60baa6150547076cf19b5c4"),
+    "psi-json": (
+        ["psi", "--param", "independence", "--mu", '{"2": 1.0}', "--n", 200,
+         "--n", 400, "--reps", 10, "--mode", "fixed", "--seed", 7,
+         "--workers", 1, "--format", "json"],
+        "1818cddca0d0fefeb5fe52e68a7065b6c4be190613010b57cfba0a9bcc847869"),
+    "certify": (
+        ["certify", "--param", "ising", "--beta", 0.5, "--samples", 40,
+         "--max-n", 5, "--seed", 3],
+        "801cb3cb6e9093886f0e9b4698fdbd7007ec7dfdbc9fe42b9b701dcfe613f60d"),
 }
+
+
+def _golden_csv_and_json(name, args, csv_digest, json_digest):
+    GOLDEN[name] = (args, csv_digest)
+    GOLDEN[f"{name}-json"] = (args + ["--format", "json"], json_digest)
+
+
+# every check command and every single-instance check, as CSV and as JSON;
+# the Monte Carlo main check must give the same bytes for 1 and 2 workers,
+# and the empty side A still draws its own substream root
+_MAIN_MC = ["interp-verify", "--degrees", "2,2,1,1", "--check", "main",
+            "--mode", "mc", "--param", "maxcut", "--seed", 3]
+for _name, _args, _csv, _json in [
+    ("concavity",
+     ["concavity", "--param", "neg-components", "--mu", '{"1": 1.0}',
+      "--mu2", '{"3": 1.0}', "--n", 200, "--reps", 10, "--seed", 4,
+      "--workers", 1],
+     "5108c796d1b3d669fcd531a9275772211f77c4bb8d95c698052d1d87566d24f6",
+     "6ebbc72bf1b04d34e833f3b7fad26ccd5533cd286850ec6dab42ec0b4fa72281"),
+    ("lipschitz-psi",
+     ["lipschitz-psi", "--param", "independence", "--mu", '{"1": 1.0}',
+      "--mu2", '{"2": 1.0}', "--n", 200, "--reps", 10, "--seed", 5,
+      "--workers", 1],
+     "6e299aa4593df7697e31641a6f9c2b248b42f9856ae7bbe08e854ce1b5487d21",
+     "3295d13dc1a6cbe13fa0a97d7b4885837bff6ef3d8239be9a3139583c0c72e53"),
+    ("compare",
+     ["compare", "--param", "neg-components", "--degrees", "2,2,2,2",
+      "--degrees2", "3,3,1,1", "--reps", 20, "--seed", 7, "--workers", 1],
+     "9a7106292b6f82c9e525d3bcfb75939c3b42b192ad8dad01723261cb9b2bbb16",
+     "d83e71d1826c60df9bcb4c08032ec61186d5136ae0955a28ff145927932592a6"),
+    ("walk",
+     ["walk", "--gamma", 100, "--delta", 10, "--runs", 5000, "--seed", 8],
+     "06adb41f669bd23dbab82b82385f228f518ab940eca4ab03dd92459eea1c5e35",
+     "389da6171d7aa121b8db804ae01751e977c0cade6e3976d49e38c44aaf7c4d78"),
+    ("concentration-eps0",
+     ["concentration", "--param", "neg-components", "--constant-degree", 3,
+      "--n", 60, "--reps", 200, "--eps", "0,5,10", "--seed", 6,
+      "--workers", 1],
+     "17ba28a9df48345d021b27bac2c46ad128bfbc5a5a858138cabfe254ad650bf4",
+     "f85ee7334b8a54eeab7a5dd4e6ad4fb9727fa1c9ff89275c7c97f40352cae4ea"),
+    ("interp-verify-lipschitz",
+     ["interp-verify", "--degrees", "2,2,1,1", "--side-a", "1,2", "--check",
+      "lipschitz", "--alpha", 1, "--beta-count", 0, "--gamma", 1,
+      "--alpha2", 0, "--beta2", 0, "--gamma2", 2, "--param", "ising",
+      "--beta", 0.5, "--seed", 1, "--workers", 1],
+     "027b785e33e530e88d2c25f19e4460b60ed6e88175abdb10a5e25071b474f2a4",
+     "546b18e6361392880d6b2657b683a4f3ab37a0a90440cc60d79956aea7e444d5"),
+    ("interp-verify-local",
+     ["interp-verify", "--degrees", "2,2,2,2", "--side-a", "1,2", "--check",
+      "local", "--delta", 2, "--param", "maxcut", "--seed", 1, "--workers", 1],
+     "48dbdfdac1af482650149066e82783342252d58006fcea0af8e7686d886576bb",
+     "9594e9ac3b2d956777022cb08655949ee02611fd8b0e4de0256e1acb9c60578e"),
+    ("interp-verify-global",
+     ["interp-verify", "--degrees", "2,2", "--side-a", "1", "--check",
+      "global", "--gamma", 2, "--param", "independence", "--seed", 1,
+      "--workers", 1],
+     "970f59cc2350aaf05ae21b1d7f07100f02171c565e37d307b9e9b8082198275c",
+     "de198864a5b1a01741fc662bf6035811149ec427b44ff81fc2e3918cf44d7dbf"),
+    ("interp-verify-main-exact",
+     ["interp-verify", "--degrees", "2,2,1,1", "--side-a", "1,2", "--check",
+      "main", "--mode", "exact", "--param", "maxcut", "--seed", 1,
+      "--workers", 1],
+     "ced83e5272434d2c62ef8c4df0b000a074586cc3fffd534e22a86ac2ffdd1485",
+     "ab315105dcc8e3e7d2f6c0ed78b86b3bc20e3c387f39ee0ac17db48ed1a3f7f3"),
+    ("interp-verify-main-mc-w1",
+     _MAIN_MC + ["--side-a", "1,2", "--reps", 200, "--workers", 1],
+     "55b98408f8ef7505d98dc61dcdb4dc60ecb95b28640f8f9bb2440314ecc5a3db",
+     "6d7168159b60fa3638b7ea8e8a8f4cd87c0a284fc81ccef05734674390d62db6"),
+    ("interp-verify-main-mc-w2",
+     _MAIN_MC + ["--side-a", "1,2", "--reps", 200, "--workers", 2],
+     "55b98408f8ef7505d98dc61dcdb4dc60ecb95b28640f8f9bb2440314ecc5a3db",
+     "6d7168159b60fa3638b7ea8e8a8f4cd87c0a284fc81ccef05734674390d62db6"),
+    ("interp-verify-main-mc-empty-a",
+     _MAIN_MC + ["--side-a", "", "--reps", 50, "--workers", 1],
+     "29dd0649550cf1b5c05724630d34511925d90f8d3e7dd66384ffb823f113ffab",
+     "0020fce88d094f4c114fe4decd28eace312306074bbd3d638c1e15849584a7e6"),
+]:
+    _golden_csv_and_json(_name, _args, _csv, _json)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -292,3 +401,23 @@ def test_walk_command_json(runner, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["tau"] == 80
     assert payload["verdict"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["psi", "--param", "independence", "--mu", '{"1": 1.0}', "--n", 10,
+     "--reps", 0],
+    ["lipschitz-psi", "--param", "independence", "--mu", '{"1": 1.0}',
+     "--mu2", '{"2": 1.0}', "--n", 20, "--reps", 0],
+    ["concentration", "--param", "neg-components", "--constant-degree", 3,
+     "--n", 60, "--reps", 0],
+    ["concentration", "--param", "neg-components", "--constant-degree", 3,
+     "--n", 60, "--reps", 5, "--eps", ","],
+    # the exact independence solver refuses degree-3 graphs this large
+    ["psi", "--param", "independence", "--mu", '{"3": 1.0}', "--n", 50,
+     "--reps", 2],
+], ids=["psi-reps-0", "lipschitz-psi-reps-0", "concentration-reps-0",
+        "concentration-empty-eps", "psi-solver-limit"])
+def test_library_input_errors_are_usage_errors(runner, args):
+    result = invoke(runner, *args, "--seed", 1, "--workers", 1)
+    assert result.exit_code == 2
+    assert "Error:" in result.output

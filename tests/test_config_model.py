@@ -39,7 +39,6 @@ def test_half_edge_system():
     sys = HalfEdgeSystem((2, 0, 1))
     assert sys.n == 3 and sys.total == 3
     assert sys.half_edges() == [(1, 1), (1, 2), (3, 1)]
-    assert sys.restrict({3, 1}).degrees == (2, 1)
 
 
 def test_matching_validation():

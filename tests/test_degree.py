@@ -9,7 +9,6 @@ from graphlimits.degree import (
     DegreeDistribution,
     DegreeSequence,
     empirical,
-    mean,
     sample_iid,
     sorted_l1,
     wasserstein,
@@ -73,9 +72,9 @@ def test_degree_sequence_validates():
 
 
 def test_mean_examples():
-    assert mean(D3) == 3
-    assert mean(DegreeDistribution({0: 0.5, 4: 0.5})) == 2
-    assert mean(DegreeDistribution({1: 0.25, 2: 0.5, 3: 0.25})) == 2
+    assert D3.mean == 3
+    assert DegreeDistribution({0: 0.5, 4: 0.5}).mean == 2
+    assert DegreeDistribution({1: 0.25, 2: 0.5, 3: 0.25}).mean == 2
 
 
 def test_wasserstein_examples():

@@ -15,6 +15,7 @@ from graphlimits.graphs import (
     POS_COMPONENTS,
     Multigraph,
     _independence_degree_two,
+    _independent_masks,
     _max_cut_degree_two,
     certify_parameter,
     increment_matrix,
@@ -25,7 +26,6 @@ from graphlimits.graphs import (
     ising_parameter,
     log_partition,
     max_cut,
-    mis_core,
     num_components,
     parameter_from_name,
     potts_model,
@@ -380,6 +380,19 @@ def test_increment_matrix_examples():
     assert inc.values[0, 0] == 0 and inc.values[1, 1] == 0
     inc = increment_matrix(NEG_COMPONENTS, EDGE)
     assert (inc.values == 0).all()
+
+
+def mis_core(g: Multigraph) -> frozenset:
+    """Vertices belonging to every maximum independent set (n <= 20)."""
+    if g.n == 0:
+        return frozenset()
+    ok = _independent_masks(g)
+    alpha = max(mask.bit_count() for mask in range(len(ok)) if ok[mask])
+    core = (1 << g.n) - 1
+    for mask in range(len(ok)):
+        if ok[mask] and mask.bit_count() == alpha:
+            core &= mask
+    return frozenset(v + 1 for v in range(g.n) if core >> v & 1)
 
 
 def _core_indicator(g):

@@ -43,7 +43,6 @@ from graphlimits.interpolation import (
     verify_lipschitz,
     verify_local_superadd,
     verify_main,
-    walk_path,
 )
 
 SYS22 = HalfEdgeSystem((2, 2))
@@ -232,14 +231,14 @@ def test_result_verdict_at_the_float_bound():
     at = Fraction(bound)
     above = at + Fraction(1, 10 ** 40)  # rounds to the bound as a float
     assert float(above) == bound
-    assert _result("t", "i", "c", at, rhs, tol).verdict is True
-    assert _result("t", "i", "c", above, rhs, tol).verdict is False
+    assert _result("t", "i", "c", at, rhs).verdict is True
+    assert _result("t", "i", "c", above, rhs).verdict is False
     for lhs in (at, above, float(above), 0, Fraction(-1, 3)):
-        assert _result("t", "i", "c", lhs, rhs, tol).verdict == (lhs <= rhs + tol)
+        assert _result("t", "i", "c", lhs, rhs).verdict == (lhs <= rhs + tol)
     # non-finite bounds keep the generic comparison
-    assert _result("t", "i", "c", above, math.inf, tol).verdict is True
-    assert _result("t", "i", "c", above, -math.inf, tol).verdict is False
-    assert _result("t", "i", "c", above, math.nan, tol).verdict is False
+    assert _result("t", "i", "c", above, math.inf).verdict is True
+    assert _result("t", "i", "c", above, -math.inf).verdict is False
+    assert _result("t", "i", "c", above, math.nan).verdict is False
 
 
 def test_verify_main_mc_matches_exact():
@@ -279,34 +278,22 @@ def test_split_identity_no_cross_class():
 # corridor walk
 
 
-def test_walk_path_trivial_horizon():
-    w = walk_path(8, 4, np.random.default_rng(0))
-    assert w.tau == 0
-    assert w.positions == (0,)
-    assert w.exit_time is None
-
-
-def test_walk_path_parity():
-    w = walk_path(60, 5, np.random.default_rng(1))
-    for t, s in enumerate(w.positions):
-        assert (t + s) % 2 == 0
-    for (a_off, b_off, g), t in zip(w.count_offsets(), range(w.tau + 1)):
-        assert a_off + b_off == t
-        assert g == w.tau - t
-
-
-def test_walk_path_preconditions():
+def test_corridor_exit_preconditions_and_trivial_horizon():
     with pytest.raises(ValueError):
-        walk_path(10, 1, np.random.default_rng(0))
+        check_corridor_exit(10, 1, 100, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        walk_path(10, 6, np.random.default_rng(0))
+        check_corridor_exit(10, 6, 100, np.random.default_rng(0))
+    # tau = 0: the walk never moves, so it never leaves the corridor
+    report = check_corridor_exit(8, 4, 100, np.random.default_rng(0))
+    assert report.details["tau"] == 0
+    assert report.lhs == 0.0 and report.verdict
 
 
 def test_corridor_exit_bound_holds():
     report = check_corridor_exit(120, 12, 20_000, np.random.default_rng(2))
-    assert report.tau == 96
+    assert report.details["tau"] == 96
     assert report.verdict
-    assert 0.0 <= report.frequency <= 1.0
+    assert 0.0 <= report.lhs <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +397,8 @@ def test_run_sweep_keeps_same_named_parameters_apart():
         out = []
         run_sweep(params, max_total_degree=6, max_vertices=3,
                   on_record=out.append)
-        return Counter(tuple(r.csv_row()) for r in out)
+        return Counter((r.check, r.instance, r.counts, r.lhs, r.rhs,
+                        r.allowance, r.verdict) for r in out)
 
     assert (records([INDEPENDENCE, impostor])
             == records([INDEPENDENCE]) + records([impostor]))

@@ -1,8 +1,11 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+from graphlimits.cli import _write_records
 from graphlimits.degree import DegreeDistribution
 from graphlimits.graphs import INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, ising_parameter
 from graphlimits.limits import (
@@ -188,7 +191,7 @@ def test_concentration_tails_within_bound():
     assert report.total_degree == 200
     assert report.all_hold
     zero_row = report.rows[0]
-    assert zero_row.bound == 1.0 and zero_row.verdict
+    assert zero_row.rhs == 1.0 and zero_row.verdict
 
 
 def test_concentration_spin_parameter():
@@ -242,17 +245,26 @@ def test_compare_length_mismatch():
 # report plumbing
 
 
-def test_inequality_report_csv_shape():
+def _csv_lines(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_inequality_report_csv_shape(tmp_path):
     r = check_lipschitz_psi(NEG_COMPONENTS, D1, D2, 100, 10,
                             np.random.default_rng(20), seed=20)
-    row = r.csv_row()
-    assert len(row) == len(r.CSV_HEADER.split(","))
-    assert r.to_json_dict()["seed"] == 20
+    _write_records(tmp_path / "r.csv", "csv", "inequality", [r])
+    header, row = _csv_lines(tmp_path / "r.csv")
+    assert len(row) == len(header)
+    _write_records(tmp_path / "r.json", "json", "inequality", [r])
+    assert json.loads((tmp_path / "r.json").read_text())[0]["seed"] == 20
 
 
-def test_psi_estimate_csv_shape():
+def test_psi_estimate_csv_shape(tmp_path):
     est = estimate_psi(NEG_COMPONENTS, D2, [30, 60], 5,
                        np.random.default_rng(21), seed=21)
-    rows = est.csv_rows()
+    _write_records(tmp_path / "psi.csv", "csv", "psi",
+                   [(est, r) for r in est.rows])
+    header, *rows = _csv_lines(tmp_path / "psi.csv")
     assert len(rows) == 2
-    assert len(rows[0]) == len(est.CSV_HEADER.split(","))
+    assert len(rows[0]) == len(header)
