@@ -278,11 +278,14 @@ def test_split_identity_no_cross_class():
 # corridor walk
 
 
-def test_corridor_exit_preconditions_and_trivial_horizon():
+def test_corridor_exit_preconditions():
     with pytest.raises(ValueError):
         check_corridor_exit(10, 1, 100, np.random.default_rng(0))
     with pytest.raises(ValueError):
         check_corridor_exit(10, 6, 100, np.random.default_rng(0))
+
+
+def test_corridor_exit_trivial_horizon():
     # tau = 0: the walk never moves, so it never leaves the corridor
     report = check_corridor_exit(8, 4, 100, np.random.default_rng(0))
     assert report.details["tau"] == 0
