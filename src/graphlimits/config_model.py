@@ -22,8 +22,10 @@ deg_G(i) <= d(i) is
 where m_e is the multiplicity of edge e and loops counts self-loops with
 multiplicity: the falling factorials order each vertex's used half-edges,
 and each edge class and each loop's two ends may be permuted freely.
-:func:`enumerate_multigraphs` lists each such G once with that weight; the
-matching enumerators stay as its test oracles.
+:func:`enumerate_multigraphs` lists each such G once with that weight.
+:func:`enumerate_matchings` is the one matching enumerator and the test
+oracle of the multigraph weights; class and maximal-matching lists filter
+its output.
 """
 
 from __future__ import annotations
@@ -109,9 +111,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def matched_half_edges(self) -> set:
-        return {h for p in self.pairs for h in p}
 
     def unmatched_counts(self, sys: HalfEdgeSystem) -> tuple:
         """Free half-edges per vertex, c(i) = d(i) - matched(i)."""
@@ -386,68 +385,19 @@ def enumerate_matchings(sys: HalfEdgeSystem) -> list:
 
 def enumerate_class(sys: HalfEdgeSystem, bp: Bipartition,
                     counts: PairingCounts) -> list:
-    """All matchings with the given pair-type counts, duplicate-free.
+    """All matchings with the given pair-type counts, each exactly once.
 
-    Infeasible counts yield the empty list.  The recursion always decides
-    the smallest undecided half-edge first (leave it free or pair it with a
-    later one), so each matching is produced exactly once.
+    Infeasible counts yield the empty list.
     """
     _check_budget(sys)
     bp.check_covers(sys)
     if not counts.feasible(sys, bp):
         return []
-    hes = sys.half_edges()
-    sides = [bp.side_of(h[0]) for h in hes]
-    out = []
-
-    def walk(free: list, need_a: int, need_b: int, need_x: int, pairs: tuple):
-        avail_a = sum(1 for k in free if sides[k] == "A")
-        avail_b = len(free) - avail_a
-        if 2 * need_a + need_x > avail_a or 2 * need_b + need_x > avail_b:
-            return
-        if need_a == need_b == need_x == 0:
-            out.append(Matching(frozenset(pairs)))
-            return
-        k = free[0]
-        rest = free[1:]
-        # branch 1: half-edge k stays unmatched
-        walk(rest, need_a, need_b, need_x, pairs)
-        # branch 2: pair k with a later free half-edge of a still-needed type
-        for pos, l in enumerate(rest):
-            t = sides[k] if sides[k] == sides[l] else "X"
-            if t == "A" and need_a > 0:
-                walk(rest[:pos] + rest[pos + 1:], need_a - 1, need_b, need_x,
-                     pairs + (_pair(hes[k], hes[l]),))
-            elif t == "B" and need_b > 0:
-                walk(rest[:pos] + rest[pos + 1:], need_a, need_b - 1, need_x,
-                     pairs + (_pair(hes[k], hes[l]),))
-            elif t == "X" and need_x > 0:
-                walk(rest[:pos] + rest[pos + 1:], need_a, need_b, need_x - 1,
-                     pairs + (_pair(hes[k], hes[l]),))
-
-    walk(list(range(len(hes))), counts.alpha, counts.beta, counts.gamma, ())
-    return out
+    return [m for m in enumerate_matchings(sys)
+            if counts_of_matching(m, bp) == counts]
 
 
 def enumerate_maximal_matchings(sys: HalfEdgeSystem) -> list:
     """All maximal matchings: perfect for even total degree, one half-edge
     left over for odd."""
-    _check_budget(sys)
-    hes = sys.half_edges()
-    skips_allowed = sys.total % 2
-    out = []
-
-    def walk(free: list, skips: int, pairs: tuple):
-        if not free:
-            out.append(Matching(frozenset(pairs)))
-            return
-        k = free[0]
-        rest = free[1:]
-        if skips > 0:
-            walk(rest, skips - 1, pairs)
-        for pos, l in enumerate(rest):
-            walk(rest[:pos] + rest[pos + 1:], skips,
-                 pairs + (_pair(hes[k], hes[l]),))
-
-    walk(list(range(len(hes))), skips_allowed, ())
-    return out
+    return [m for m in enumerate_matchings(sys) if m.size == sys.total // 2]

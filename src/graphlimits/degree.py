@@ -161,8 +161,6 @@ def wasserstein(mu: DegreeDistribution, mu2: DegreeDistribution):
     term |mu(>=1) - mu2(>=1)| is included: it equals |mu(0) - mu2(0)| and is
     what separates point masses at 0 and 1.
     """
-    if not mu.probs and not mu2.probs:  # unreachable: supports are non-empty
-        return 0
     top = max(mu.max_degree, mu2.max_degree)
     tail = 0
     total = 0

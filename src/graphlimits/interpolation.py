@@ -31,16 +31,16 @@ from numbers import Rational
 import numpy as np
 
 from . import seeding
-# the matching enumerators stay importable here: bench/tracer.py wraps them
-# by name
+# bench/tracer.py wraps enumerate_matchings, graph_of_matching,
+# counts_of_matching and enumerate_maximal_matchings by their names here
 from .config_model import (  # noqa: F401
     Bipartition,
     HalfEdgeSystem,
     Matching,
     PairingCounts,
+    _pair,
     counts_of_graph,
     counts_of_matching,
-    enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
     enumerate_multigraphs,
@@ -365,13 +365,6 @@ def feasible_triples(sys: HalfEdgeSystem, bp: Bipartition) -> list:
     return out
 
 
-_PACK_LIMIT = 255  # half-edge indices are packed into 8 bits
-
-
-def _pack(x: int, y: int) -> int:
-    return (x << 8) | y if x < y else (y << 8) | x
-
-
 def _canonical_order(counts: PairingCounts) -> str:
     return "A" * counts.alpha + "B" * counts.beta + "X" * counts.gamma
 
@@ -382,19 +375,15 @@ def _history_levels(sys: HalfEdgeSystem, bp: Bipartition, orders) -> dict:
     Each order is a string over 'A', 'B', 'X' (pair two free half-edges of
     A, two of B, or one of each).  Returns, for every prefix of every
     order, the number of histories reaching each matching after those
-    steps; matchings are frozensets of packed half-edge index pairs and
-    orders sharing a prefix share its levels.  Uniformity of the sequential
-    sampler is equivalent to these counts being constant on every level,
-    because the number of available choices at each step depends only on
-    the level.
+    steps; a matching is keyed by its set of half-edge pairs, as in
+    ``Matching.pairs``, and orders sharing a prefix share its levels.
+    Uniformity of the sequential sampler is equivalent to these counts
+    being constant on every level, because the number of available choices
+    at each step depends only on the level.
     """
     hes = sys.half_edges()
-    if len(hes) > _PACK_LIMIT:
-        raise ValueError(
-            f"history DP packs half-edge indices into 8 bits: degrees "
-            f"{sys.degrees} have {len(hes)} half-edges > {_PACK_LIMIT}")
-    a_idx = [k for k, h in enumerate(hes) if bp.side_of(h[0]) == "A"]
-    b_idx = [k for k, h in enumerate(hes) if bp.side_of(h[0]) == "B"]
+    side_a = [h for h in hes if bp.side_of(h[0]) == "A"]
+    side_b = [h for h in hes if bp.side_of(h[0]) == "B"]
     levels = {"": {frozenset(): 1}}
     for order in orders:
         for t in range(1, len(order) + 1):
@@ -403,26 +392,20 @@ def _history_levels(sys: HalfEdgeSystem, bp: Bipartition, orders) -> dict:
             step = order[t - 1]
             nxt = {}
             for m, count in levels[order[:t - 1]].items():
-                used = {h for p in m for h in ((p >> 8), (p & 0xFF))}
+                used = {h for p in m for h in p}
+                free_a = [h for h in side_a if h not in used]
+                free_b = [h for h in side_b if h not in used]
                 if step == "A":
-                    extensions = combinations(
-                        [k for k in a_idx if k not in used], 2)
+                    extensions = combinations(free_a, 2)
                 elif step == "B":
-                    extensions = combinations(
-                        [k for k in b_idx if k not in used], 2)
+                    extensions = combinations(free_b, 2)
                 else:
-                    extensions = product([k for k in a_idx if k not in used],
-                                         [k for k in b_idx if k not in used])
+                    extensions = product(free_a, free_b)
                 for x, y in extensions:
-                    key = m | {_pack(x, y)}
+                    key = m | {_pair(x, y)}
                     nxt[key] = nxt.get(key, 0) + count
             levels[order[:t]] = nxt
     return levels
-
-
-def _pack_matching(m: Matching, hes: list) -> frozenset:
-    index = {h: k for k, h in enumerate(hes)}
-    return frozenset(_pack(index[h1], index[h2]) for h1, h2 in m.pairs)
 
 
 def history_counts(sys: HalfEdgeSystem, bp: Bipartition,
@@ -430,8 +413,9 @@ def history_counts(sys: HalfEdgeSystem, bp: Bipartition,
     """Histories of the sequential pairing process reaching each matching.
 
     ``order`` is a string over 'A', 'B', 'X' giving the step sequence; the
-    default is canonical (A steps, then B, then cross).  Keys are packed
-    matchings as produced by the internal DP; values are exact integers.
+    default is canonical (A steps, then B, then cross).  Keys are the
+    reached ``Matching``s, for any number of half-edges; values are exact
+    integers.
     """
     counts = PairingCounts(*counts)
     bp.check_covers(sys)
@@ -441,7 +425,8 @@ def history_counts(sys: HalfEdgeSystem, bp: Bipartition,
         order = _canonical_order(counts)
     elif sorted(order) != sorted(_canonical_order(counts)):
         raise ValueError("order must contain alpha 'A's, beta 'B's, gamma 'X's")
-    return _history_levels(sys, bp, [order])[order]
+    return {Matching(m): count
+            for m, count in _history_levels(sys, bp, [order])[order].items()}
 
 
 def _step_choices(da: int, db: int, counts: PairingCounts) -> int:
@@ -480,6 +465,7 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
     seen = set()
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
+        matchings = enumerate_matchings(sys)
         for bp in bipartitions_of(sys.n):
             key = tuple(sorted((degrees[i - 1], bp.side_of(i))
                                for i in range(1, sys.n + 1)))
@@ -488,7 +474,9 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
             seen.add(key)
             summary.instances += 1
             da, db = bp.degree_a(sys), bp.degree_b(sys)
-            hes = sys.half_edges()
+            classes = {}
+            for m in matchings:
+                classes.setdefault(counts_of_matching(m, bp), set()).add(m.pairs)
             triples = sorted(feasible_triples(sys, bp))
             levels = _history_levels(sys, bp, map(_canonical_order, triples))
             for triple in triples:
@@ -499,9 +487,7 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
                 if len(counts_seen) != 1:
                     summary.failures.append(f"{instance}: unequal history counts")
                     continue
-                expected = {_pack_matching(m, hes)
-                            for m in enumerate_class(sys, bp, triple)}
-                if set(hist) != expected:
+                if set(hist) != classes.get(triple, set()):
                     summary.failures.append(f"{instance}: reached set mismatch")
                     continue
                 if sum(hist.values()) != _step_choices(da, db, triple):

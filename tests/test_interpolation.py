@@ -7,6 +7,7 @@ from numbers import Rational
 import numpy as np
 import pytest
 
+from graphlimits import interpolation
 from graphlimits.config_model import (
     Bipartition,
     HalfEdgeSystem,
@@ -316,7 +317,7 @@ def test_history_counts_match_class():
     for counts in (PairingCounts(1, 0, 1), PairingCounts(1, 0, 2),
                    PairingCounts(2, 1, 0)):
         hist = history_counts(sys, bp, counts)
-        assert len(hist) == len(enumerate_class(sys, bp, counts))
+        assert set(hist) == set(enumerate_class(sys, bp, counts))
         assert len(set(hist.values())) == 1
 
 
@@ -340,10 +341,11 @@ def test_history_counts_order_irrelevant():
         assert keys == reference, order
 
 
-def test_history_counts_rejects_unpackable_systems():
-    # half-edge indices are packed into 8 bits
-    with pytest.raises(ValueError, match=r"\(128, 128\).*256 half-edges"):
-        history_counts(HalfEdgeSystem((128, 128)), BP22, PairingCounts(0, 0, 1))
+def test_history_counts_any_number_of_half_edges():
+    # 256 half-edges: every single cross pair is its own one-step history
+    hist = history_counts(HalfEdgeSystem((128, 128)), BP22, PairingCounts(0, 0, 1))
+    assert len(hist) == 128 * 128
+    assert set(hist.values()) == {1}
 
 
 def test_history_counts_rejects_wrong_order():
@@ -355,6 +357,24 @@ def test_uniformity_sweep_small():
     summary = sweep_pairing_uniformity(max_total_degree=6, max_vertices=3)
     assert summary.all_uniform
     assert summary.classes > 100
+
+
+def test_uniformity_sweep_misses_a_dropped_matching(monkeypatch):
+    monkeypatch.setattr(interpolation, "enumerate_matchings",
+                        lambda sys: enumerate_matchings(sys)[:-1])
+    summary = sweep_pairing_uniformity(max_total_degree=6, max_vertices=3)
+    # the dropped matching belongs to exactly one class of each instance
+    assert len(summary.failures) == summary.instances
+    assert all(f.endswith("reached set mismatch") for f in summary.failures)
+
+
+def test_uniformity_sweep_checks_the_history_total(monkeypatch):
+    step_choices = interpolation._step_choices
+    monkeypatch.setattr(interpolation, "_step_choices",
+                        lambda *args: step_choices(*args) + 1)
+    summary = sweep_pairing_uniformity(max_total_degree=6, max_vertices=3)
+    assert len(summary.failures) == summary.classes
+    assert all(f.endswith("history total mismatch") for f in summary.failures)
 
 
 # ---------------------------------------------------------------------------
