@@ -278,14 +278,13 @@ def wasserstein_command(mu_text, mu2_text):
 @click.option("--delta", type=int, default=2)
 @click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact")
 @click.option("--reps", type=int, default=2000)
-@click.option("--phi-factor", type=float, default=itp.PENALTY_FACTOR, hidden=True)
 @seed_option
 @workers_option
 @output_option
 @format_option
 def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
                   degrees, side_a, check_name, alpha, beta_count, gamma,
-                  alpha2, beta2, gamma2, delta, mode, reps, phi_factor, seed,
+                  alpha2, beta2, gamma2, delta, mode, reps, seed,
                   workers, output, fmt):
     """Verify interpolation inequalities, exhaustively or on one instance."""
     resolved = [parameter_from_name(p, beta, q) for p in params]
@@ -301,7 +300,7 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
                 records.append(v)
 
         summary = itp.run_sweep(resolved, max_total_degree, max_vertices,
-                                penalty_factor=phi_factor, on_record=on_record)
+                                on_record=on_record)
         _write_records(output, fmt, "verifier", records)
         _finish(f"interp-verify: {summary.total_checked} inequalities on "
                 f"{summary.instances} instances, "
@@ -327,10 +326,9 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
     elif check_name == "local":
         v = itp.verify_local_superadd(inst, counts, delta)
     elif check_name == "global":
-        v = itp.verify_global(inst, gamma, penalty_factor=phi_factor)
+        v = itp.verify_global(inst, gamma)
     else:
-        v = itp.verify_main(f, d, bp, mode, rng, reps,
-                            penalty_factor=phi_factor, workers=workers)
+        v = itp.verify_main(f, d, bp, mode, rng, reps, workers=workers)
     _write_records(output, fmt, "verifier", [v])
     _finish(f"interp-verify: {v.check} lhs={v.lhs:.6g} "
             f"rhs={v.rhs + v.allowance:.6g} verdict={v.verdict}",

@@ -39,11 +39,12 @@ class Multigraph:
 
     Sampled graphs are built from endpoint arrays and held as such (see
     :class:`_ArrayMultigraph`): ``edge_array`` is their canonical int64
-    array, and degrees, components and the degree-2 closed forms run
-    vectorised on it.  Graphs built from pairs, the small graphs of the
-    exact solvers and enumerations, have ``edge_array`` None and keep plain
-    loops and attributes, which are faster at that size.  Instances are
-    immutable.
+    array, and their degrees run vectorised on it.  Graphs built from pairs,
+    the small graphs of the exact solvers and enumerations, have
+    ``edge_array`` None and keep plain loops and attributes, which are
+    faster at that size.  One components pass serves both forms (numpy for
+    array-held graphs, a union-find for pair-built ones), and each degree-2
+    closed form is one expression over its output.  Instances are immutable.
     """
 
     edge_array = None
@@ -97,6 +98,9 @@ class Multigraph:
             deg[i - 1] += 1
             deg[j - 1] += 1
         return tuple(deg)
+
+    def _degree_array(self) -> np.ndarray:
+        return np.array(self.degrees(), dtype=np.int64)
 
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
@@ -206,47 +210,34 @@ def _simple_adjacency(g: Multigraph):
     return adj, loops
 
 
-def _components(g: Multigraph):
-    """Connected components as (vertex count, edge count with multiplicity)."""
-    neighbors = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        if i != j:
-            neighbors[i - 1].append(j - 1)
-            neighbors[j - 1].append(i - 1)
-    seen = [False] * g.n
-    comp_of = [0] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for u in neighbors[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        idx = len(comps)
-        for v in members:
-            comp_of[v] = idx
-        comps.append([len(members), 0])
-    for i, j in g.edges:
-        comps[comp_of[i - 1]][1] += 1
-    return [(v, e) for v, e in comps]
-
-
 def _component_roots(g: Multigraph) -> np.ndarray:
-    """Smallest (0-based) vertex of each vertex's component, for a graph
-    held as an endpoint array.
+    """Smallest (0-based) vertex of each vertex's component, as an int64
+    array; the one components pass for both graph forms.
 
-    Min-label union: each round hooks every root that shares an edge with a
+    Graphs built from pairs run a union-find with path halving over
+    ``edges``, which beats numpy at their size.  Array-held graphs run a
+    min-label union: each round hooks every root that shares an edge with a
     smaller root onto the smallest such root, then pointer jumping flattens
     every tree to depth one.  Rounds repeat until no edge joins two trees;
     sampled graphs at n = 200,000 take at most about ten.
     """
+    if g.edge_array is None:
+        root = list(range(g.n))
+        for i, j in g.edges:
+            a, b = i - 1, j - 1
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+        # every vertex points at a smaller one or itself, so one ascending
+        # pass flattens every tree onto its smallest vertex
+        for v in range(g.n):
+            root[v] = root[root[v]]
+        return np.array(root, dtype=np.int64)
     ends = g.edge_array - 1
     u, v = ends[:, 0], ends[:, 1]
     root = np.arange(g.n)
@@ -271,9 +262,7 @@ def _component_roots(g: Multigraph) -> np.ndarray:
 def num_components(g: Multigraph) -> int:
     """Number of connected components; isolated vertices count, loops and
     parallel edges are connectivity-neutral."""
-    if g.edge_array is not None:
-        return int(np.count_nonzero(_component_roots(g) == np.arange(g.n)))
-    return len(_components(g))
+    return int(np.count_nonzero(_component_roots(g) == np.arange(g.n)))
 
 
 def neg_num_components(g: Multigraph) -> int:
@@ -281,50 +270,31 @@ def neg_num_components(g: Multigraph) -> int:
 
 
 def _degree_two_arrays(g: Multigraph) -> tuple:
-    """Vertex and edge counts (with multiplicity) per component of an
-    array-held graph of max degree <= 2, each component checked to be a path
-    or a cycle."""
+    """Vertex and edge counts (with multiplicity) per component of a graph
+    of max degree <= 2, indexed by the component's smallest vertex (other
+    entries are 0), each component checked to be a path or a cycle (loops
+    are 1-cycles, double edges 2-cycles)."""
     root = _component_roots(g)
-    firsts = np.flatnonzero(root == np.arange(g.n))
-    vertices = np.bincount(root, minlength=g.n)[firsts]
-    edges = np.bincount(root[g.edge_array[:, 0] - 1], minlength=g.n)[firsts]
-    if not np.all((edges == vertices - 1) | (edges == vertices)):
+    vertices = np.bincount(root)
+    # a component's degrees sum to twice its edge count
+    edges = np.bincount(root, weights=g._degree_array()).astype(np.int64) // 2
+    # a connected component has e >= v - 1, so e <= v leaves a path or a cycle
+    if np.count_nonzero(edges > vertices):
         raise AssertionError("degree-2 component with unexpected edge count")
     return vertices, edges
 
 
 def _independence_degree_two(g: Multigraph) -> int:
-    # Degree <= 2 graphs split into isolated vertices, paths, and cycles
-    # (loops are 1-cycles, double edges 2-cycles).
-    if g.edge_array is not None:
-        # (v + 1) // 2 on a path (e = v - 1), v // 2 on a cycle (e = v)
-        v, e = _degree_two_arrays(g)
-        return int(((2 * v - e) // 2).sum())
-    total = 0
-    for v, e in _components(g):
-        if e == v - 1:          # path, includes isolated vertex
-            total += (v + 1) // 2
-        elif e == v:            # cycle; a loop vertex contributes 0
-            total += v // 2
-        else:                   # unreachable under the degree bound
-            raise AssertionError("degree-2 component with unexpected edge count")
-    return total
+    # (2v - e) // 2 per component: (v + 1) // 2 on a path (e = v - 1), v // 2
+    # on a cycle (e = v); summed, (2n - m - #{components with e odd}) / 2
+    _, e = _degree_two_arrays(g)
+    return (2 * g.n - g.num_edges - int(np.count_nonzero(e % 2))) // 2
 
 
 def _max_cut_degree_two(g: Multigraph) -> int:
-    if g.edge_array is not None:
-        # every edge crosses, except one on each odd cycle
-        v, e = _degree_two_arrays(g)
-        return int((e - (e % 2) * (e == v)).sum())
-    total = 0
-    for v, e in _components(g):
-        if e == v - 1:          # path: bipartite, every edge crosses
-            total += e
-        elif e == v:            # cycle: all but one edge when odd
-            total += e if e % 2 == 0 else e - 1
-        else:
-            raise AssertionError("degree-2 component with unexpected edge count")
-    return total
+    # every edge crosses, except one on each odd cycle
+    v, e = _degree_two_arrays(g)
+    return g.num_edges - int(np.count_nonzero(e[e == v] % 2))
 
 
 def _branch_bound_alpha(adj, candidates: int) -> int:
@@ -591,19 +561,9 @@ def parameter_from_name(name: str, beta: float | None = None,
 # increments and conditional negative semidefiniteness
 
 
-@dataclass(frozen=True, eq=False)
-class IncrementMatrix:
+def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
     """n x n matrix of single-edge increments f(G + ij) - f(G); the diagonal
     holds loop additions.  Symmetric by construction."""
-
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-def increment_matrix(f: GraphParameter, g: Multigraph) -> IncrementMatrix:
     base = f.evaluate(g)
     out = np.zeros((g.n, g.n))
     for i in range(1, g.n + 1):
@@ -611,24 +571,27 @@ def increment_matrix(f: GraphParameter, g: Multigraph) -> IncrementMatrix:
             delta = f.evaluate(g.add_edge(i, j)) - base
             out[i - 1, j - 1] = delta
             out[j - 1, i - 1] = delta
-    return IncrementMatrix(out)
+    return out
 
 
-def is_cnd(m, tol: float = 1e-8) -> bool:
-    """Whether the quadratic form of m is <= tol on the sum-zero subspace.
+def is_cnd(m) -> bool:
+    """Whether the quadratic form of m is <= CND_TOL on the sum-zero
+    subspace.
 
     Projects with P = I - 11^T/n and tests the top eigenvalue of P m P.
     """
-    values = m.values if isinstance(m, IncrementMatrix) else np.asarray(m, dtype=float)
+    values = np.asarray(m, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(values, values.T, atol=_SYMMETRY_TOL, rtol=0):
         raise ValueError("matrix must be symmetric")
     n = values.shape[0]
+    if n == 0:      # the sum-zero subspace of R^0 is {0}
+        return True
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
     projected = proj @ values @ proj
     top = float(np.linalg.eigvalsh((projected + projected.T) / 2)[-1])
-    return top <= tol
+    return top <= CND_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +676,7 @@ def certify_parameter(f: GraphParameter, samples: int, nmax: int,
 
         if report.lipschitz.passed:
             report.lipschitz.samples += 1
-            worst = float(np.abs(inc.values).max()) if g1.n else 0.0
+            worst = float(np.abs(inc).max()) if g1.n else 0.0
             if worst > f.kappa + LIPSCHITZ_TOL:
                 report.lipschitz.passed = False
                 report.lipschitz.counterexample = (
@@ -721,7 +684,7 @@ def certify_parameter(f: GraphParameter, samples: int, nmax: int,
 
         if report.concave.passed:
             report.concave.samples += 1
-            if not is_cnd(inc, CND_TOL):
+            if not is_cnd(inc):
                 report.concave.passed = False
                 report.concave.counterexample = (
                     f"increment matrix not CND; G={g1.edges} n={g1.n}")

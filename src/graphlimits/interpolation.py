@@ -185,12 +185,12 @@ def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
 # penalty
 
 
-def penalty(x, kappa: float, factor: float = PENALTY_FACTOR) -> float:
-    """Sublinear budget factor * kappa * sqrt(x * ln(1 + x)) used by the
-    global and main checks."""
+def penalty(x, kappa: float) -> float:
+    """Sublinear budget PENALTY_FACTOR * kappa * sqrt(x * ln(1 + x)) used by
+    the global and main checks."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    return factor * kappa * math.sqrt(x * math.log1p(x))
+    return PENALTY_FACTOR * kappa * math.sqrt(x * math.log1p(x))
 
 
 def penalty_constant(gamma: int) -> float:
@@ -259,8 +259,8 @@ def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
                    lhs, rhs)
 
 
-def verify_global(inst: InterpolationInstance, gamma: int, mean_fn=None,
-                  penalty_factor: float = PENALTY_FACTOR) -> Verdict:
+def verify_global(inst: InterpolationInstance, gamma: int,
+                  mean_fn=None) -> Verdict:
     """F(dA/2, dB/2, 0) <= F((dA-g)/2, (dB-g)/2, g) + penalty(g), floors
     throughout."""
     da, db = inst.bp.degree_a(inst.sys), inst.bp.degree_b(inst.sys)
@@ -269,14 +269,13 @@ def verify_global(inst: InterpolationInstance, gamma: int, mean_fn=None,
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
     lhs = mean_fn(PairingCounts(da // 2, db // 2, 0))
     rhs = (mean_fn(PairingCounts((da - gamma) // 2, (db - gamma) // 2, gamma))
-           + penalty(gamma, inst.f.kappa, penalty_factor))
+           + penalty(gamma, inst.f.kappa))
     return _result("global", inst.describe(), f"gamma={gamma}", lhs, rhs)
 
 
 def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact",
                 rng: np.random.Generator | None = None, reps: int = 2000,
-                penalty_factor: float = PENALTY_FACTOR, workers: int = 1,
-                _cache: dict | None = None) -> Verdict:
+                workers: int = 1, _cache: dict | None = None) -> Verdict:
     """E f(sub A) + E f(sub B) <= E f(whole) + penalty(total degree / 2).
 
     Exact mode enumerates maximal matchings (small systems); mc mode
@@ -288,7 +287,7 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
     instance = InterpolationInstance(sys, bp, f).describe()
     sub_a = tuple(degrees[i - 1] for i in sorted(bp.a))
     sub_b = tuple(degrees[i - 1] for i in sorted(bp.b))
-    pen = penalty(sys.total / 2, f.kappa, penalty_factor)
+    pen = penalty(sys.total / 2, f.kappa)
 
     if mode == "exact":
         lhs = (expected_parameter(f, sub_a, _cache)
@@ -539,7 +538,6 @@ class SweepSummary:
 
 def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
               checks=("lipschitz", "local", "global", "main"),
-              penalty_factor: float = PENALTY_FACTOR,
               on_record=None) -> SweepSummary:
     """Verify every inequality on every small instance with exact means.
 
@@ -596,10 +594,8 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 if "global" in checks:
                     da, db = bp.degree_a(sys), bp.degree_b(sys)
                     for gamma in range(min(da, db) + 1):
-                        emit(verify_global(inst, gamma, mean_fn,
-                                           penalty_factor))
+                        emit(verify_global(inst, gamma, mean_fn))
                 if "main" in checks:
                     emit(verify_main(param, degrees, bp, "exact",
-                                     penalty_factor=penalty_factor,
                                      _cache=sub_caches[p]))
     return summary

@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from graphlimits import interpolation
 from graphlimits.cli import main
 from graphlimits.graphs import Multigraph
 from graphlimits.interpolation import penalty
@@ -124,11 +125,11 @@ def test_interp_verify_sweep(runner, tmp_path):
     assert all(line.endswith("True") for line in lines[1:])
 
 
-def test_interp_verify_hidden_phi_factor_forces_failure(runner):
+def test_interp_verify_hidden_phi_factor_forces_failure(runner, monkeypatch):
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
     result = invoke(runner, "interp-verify", "--sweep",
                     "--max-total-degree", 2, "--max-vertices", 2,
-                    "--param", "independence", "--phi-factor", 0.01,
-                    "--seed", 7)
+                    "--param", "independence", "--seed", 7)
     assert result.exit_code == 1
 
 
@@ -147,7 +148,7 @@ def _min_slack(output):
     return float(output.strip().rsplit("min_slack=", 1)[1])
 
 
-def test_check_commands_report_their_smallest_slack(runner):
+def test_check_commands_report_their_smallest_slack(runner, monkeypatch):
     result = invoke(runner, "interp-verify", "--degrees", "2,2",
                     "--side-a", "1", "--check", "global", "--gamma", 2,
                     "--param", "independence", "--seed", 1)
@@ -155,10 +156,10 @@ def test_check_commands_report_their_smallest_slack(runner):
     # exact check: slack = rhs - lhs, with lhs = 0 here
     assert _min_slack(result.output) == pytest.approx(1 + penalty(2, 1.0),
                                                       rel=1e-5)
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
     result = invoke(runner, "interp-verify", "--sweep",
                     "--max-total-degree", 2, "--max-vertices", 2,
-                    "--param", "independence", "--phi-factor", 0.01,
-                    "--seed", 7)
+                    "--param", "independence", "--seed", 7)
     assert result.exit_code == 1
     assert _min_slack(result.output) < 0
 

@@ -184,8 +184,15 @@ def test_large_array_graph_matches_networkx_and_pair_graph():
     assert num_components(g) == networkx_components(g)
     by_pairs = Multigraph(n, g.edges)
     assert by_pairs == g and by_pairs.degrees() == g.degrees()
+    assert num_components(by_pairs) == num_components(g)
     assert independence_number(g) == independence_number(by_pairs)
     assert max_cut(g) == max_cut(by_pairs)
+    # one giant component through the pair-form union-find
+    path = Multigraph(n, tuple((v, v + 1) for v in range(1, n)))
+    assert path.edge_array is None
+    assert num_components(path) == 1
+    assert independence_number(path) == n // 2
+    assert max_cut(path) == n - 1
 
 
 def test_text_round_trip():
@@ -374,12 +381,12 @@ def test_isomorphism_invariance():
 
 def test_increment_matrix_examples():
     inc = increment_matrix(INDEPENDENCE, Multigraph(2))
-    assert (inc.values == -1).all()
+    assert (inc == -1).all()
     inc = increment_matrix(MAX_CUT, EDGE)
-    assert inc.values[0, 1] == 1
-    assert inc.values[0, 0] == 0 and inc.values[1, 1] == 0
+    assert inc[0, 1] == 1
+    assert inc[0, 0] == 0 and inc[1, 1] == 0
     inc = increment_matrix(NEG_COMPONENTS, EDGE)
-    assert (inc.values == 0).all()
+    assert (inc == 0).all()
 
 
 def mis_core(g: Multigraph) -> frozenset:
@@ -411,7 +418,7 @@ def test_independence_increment_formula():
     for _ in range(120):
         g = random_multigraph(rng, 6, 8)
         inc = increment_matrix(INDEPENDENCE, g)
-        assert np.array_equal(inc.values, -_core_indicator(g))
+        assert np.array_equal(inc, -_core_indicator(g))
 
 
 def test_max_cut_increment_formula():
@@ -428,7 +435,7 @@ def test_max_cut_increment_formula():
                 side = np.array([(mask >> v & 1) for v in range(g.n)])
                 same_side &= np.equal.outer(side, side)
         inc = increment_matrix(MAX_CUT, g)
-        assert np.array_equal(inc.values, 1.0 - same_side)
+        assert np.array_equal(inc, 1.0 - same_side)
 
 
 def test_components_increment_formula():
@@ -439,7 +446,7 @@ def test_components_increment_formula():
         for i in range(1, g.n + 1):
             for j in range(1, g.n + 1):
                 joined = num_components(g.add_edge(i, j)) != num_components(g)
-                assert inc.values[i - 1, j - 1] == (1.0 if joined else 0.0)
+                assert inc[i - 1, j - 1] == (1.0 if joined else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +457,11 @@ def test_is_cnd_examples():
     assert is_cnd(np.ones((4, 4)))
     assert not is_cnd(np.eye(2))
     assert is_cnd(np.array(ising_model(1.0).J))
+
+
+def test_is_cnd_on_empty_matrix():
+    # the sum-zero subspace of R^0 is {0}, where every form is 0
+    assert is_cnd(increment_matrix(INDEPENDENCE, Multigraph(0)))
 
 
 def test_is_cnd_rejects_bad_input():
@@ -511,7 +523,7 @@ def test_ising_lipschitz_constant_is_tight_bound():
         worst = 0.0
         for _ in range(40):
             g = random_multigraph(rng, 5, 6)
-            worst = max(worst, float(np.abs(increment_matrix(p, g).values).max()))
+            worst = max(worst, float(np.abs(increment_matrix(p, g)).max()))
         assert worst <= beta + 1e-9
 
 

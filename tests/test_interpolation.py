@@ -427,9 +427,10 @@ def test_run_sweep_keeps_same_named_parameters_apart():
             == records([INDEPENDENCE]) + records([impostor]))
 
 
-def test_run_sweep_detects_shrunk_penalty():
+def test_run_sweep_detects_shrunk_penalty(monkeypatch):
     # with the penalty factor collapsed, the fixed-split bound must fail
     # somewhere (two isolated vertices beat one edge by more than nothing)
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
     summary = run_sweep([INDEPENDENCE], max_total_degree=2, max_vertices=2,
-                        checks=("global", "main"), penalty_factor=0.01)
+                        checks=("global", "main"))
     assert not summary.all_hold
