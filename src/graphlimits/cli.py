@@ -25,13 +25,12 @@ from . import limits as lim
 from . import seeding
 from .config_model import (
     Bipartition,
-    HalfEdgeSystem,
     PairingCounts,
     RejectionLimitError,
     sample_simple,
     sample_uniform_graph,
 )
-from .degree import DegreeDistribution, DegreeSequence, sample_iid, wasserstein
+from .degree import DegreeDistribution, HalfEdgeSystem, sample_iid, wasserstein
 from .graphs import Multigraph, certify_parameter, parameter_from_name
 
 
@@ -46,10 +45,12 @@ def _parse_mu(text: str) -> DegreeDistribution:
 
 def _parse_degrees(text: str) -> tuple:
     try:
-        parts = text.replace(",", " ").split()
-        return DegreeSequence(tuple(int(p) for p in parts)).degrees
+        degrees = HalfEdgeSystem(text.replace(",", " ").split()).degrees
     except ValueError as err:
         raise click.UsageError(f"bad degree sequence: {err}")
+    if not degrees:
+        raise click.UsageError("bad degree sequence: empty degree sequence")
+    return degrees
 
 
 def _parse_vertices(text: str) -> frozenset:

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .degree import as_degrees
+from .degree import HalfEdgeSystem, as_degrees
 from .graphs import Multigraph
 
 ENUMERATION_BUDGET = 12  # max total degree for exhaustive matching lists
@@ -49,34 +49,6 @@ class RejectionLimitError(RuntimeError):
     def __init__(self, attempts: int):
         super().__init__(f"no simple graph found in {attempts} attempts")
         self.attempts = attempts
-
-
-@dataclass(frozen=True)
-class HalfEdgeSystem:
-    """Vertices 1..n with d(i) labeled half-edges each."""
-
-    degrees: tuple
-
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        if any(d < 0 for d in degrees):
-            raise ValueError("degrees must be non-negative")
-        object.__setattr__(self, "degrees", degrees)
-
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    def half_edges(self) -> list:
-        return [(i + 1, k + 1) for i, d in enumerate(self.degrees) for k in range(d)]
-
-    def contains(self, h) -> bool:
-        i, k = h
-        return 1 <= i <= self.n and 1 <= k <= self.degrees[i - 1]
 
 
 def _pair(h1, h2) -> tuple:

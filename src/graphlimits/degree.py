@@ -1,4 +1,5 @@
-"""Degree sequences, finite degree distributions, and a transport metric.
+"""Degree sequences as half-edge systems, finite degree distributions, and
+a transport metric.
 
 The distance used throughout is the L1 transport distance between integer
 distributions, written as a sum of absolute tail differences:
@@ -91,15 +92,7 @@ class DegreeDistribution:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("degree distribution JSON must be an object")
-        probs = {}
-        for k, p in raw.items():
-            degree = int(k)
-            p = float(p)
-            if degree < 0:
-                raise ValueError(f"negative degree {degree}")
-            if p < 0:
-                raise ValueError(f"negative probability for degree {degree}")
-            probs[degree] = p
+        probs = {int(k): float(p) for k, p in raw.items()}
         total = sum(probs.values())
         if abs(total - 1) > JSON_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, outside 1 +/- {JSON_SUM_TOL}")
@@ -109,16 +102,15 @@ class DegreeDistribution:
 
 
 @dataclass(frozen=True)
-class DegreeSequence:
-    """Finite list of vertex degrees d(1..n), n >= 1."""
+class HalfEdgeSystem:
+    """Degree sequence d(1..n), read as vertices 1..n with d(i) labeled
+    half-edges each; n = 0 is the empty system."""
 
     degrees: tuple
 
     def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        if not degrees:
-            raise ValueError("empty degree sequence")
-        if any(d < 0 for d in degrees):
+        degrees = tuple(map(int, self.degrees))
+        if min(degrees, default=0) < 0:
             raise ValueError("degrees must be non-negative")
         object.__setattr__(self, "degrees", degrees)
 
@@ -130,6 +122,13 @@ class DegreeSequence:
     def total(self) -> int:
         return sum(self.degrees)
 
+    def half_edges(self) -> list:
+        return [(i + 1, k + 1) for i, d in enumerate(self.degrees) for k in range(d)]
+
+    def contains(self, h) -> bool:
+        i, k = h
+        return 1 <= i <= self.n and 1 <= k <= self.degrees[i - 1]
+
     def __iter__(self):
         return iter(self.degrees)
 
@@ -138,16 +137,18 @@ class DegreeSequence:
 
 
 def as_degrees(d) -> tuple:
-    """Coerce a DegreeSequence or plain iterable to a degree tuple."""
-    if isinstance(d, DegreeSequence):
+    """Coerce a HalfEdgeSystem or plain iterable to a degree tuple."""
+    if isinstance(d, HalfEdgeSystem):
         return d.degrees
-    return DegreeSequence(tuple(d)).degrees
+    return HalfEdgeSystem(d).degrees
 
 
 def empirical(d) -> DegreeDistribution:
     """Empirical degree distribution, with exact rational probabilities."""
     degrees = as_degrees(d)
     n = len(degrees)
+    if n == 0:
+        raise ValueError("an empty degree sequence has no empirical measure")
     counts = {}
     for k in degrees:
         counts[k] = counts.get(k, 0) + 1
@@ -182,7 +183,7 @@ def sorted_l1(d, d2) -> int:
     return sum(abs(x - y) for x, y in zip(sorted(a), sorted(b)))
 
 
-def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> DegreeSequence:
+def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> HalfEdgeSystem:
     """Draw n independent degrees from mu; deterministic given the stream."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -190,4 +191,4 @@ def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> Degr
     weights = np.array([float(p) for p in mu.probs.values()])
     weights = weights / weights.sum()
     draws = rng.choice(support, size=n, p=weights)
-    return DegreeSequence(tuple(draws.tolist()))
+    return HalfEdgeSystem(draws.tolist())

@@ -30,12 +30,10 @@ from numbers import Rational
 
 import numpy as np
 
-from . import seeding
 # bench/tracer.py wraps enumerate_matchings, graph_of_matching,
 # counts_of_matching and enumerate_maximal_matchings by their names here
 from .config_model import (  # noqa: F401
     Bipartition,
-    HalfEdgeSystem,
     Matching,
     PairingCounts,
     _pair,
@@ -47,7 +45,7 @@ from .config_model import (  # noqa: F401
     graph_of_matching,
     sample_in_class,
 )
-from .degree import as_degrees
+from .degree import HalfEdgeSystem, as_degrees
 from .graphs import GraphParameter
 from .limits import (
     EXPECTATION_SIGMAS,
@@ -166,10 +164,8 @@ def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
     computed on the ascending relabeling of the degrees and cached by it:
     the degree multiset determines the exact mean, but a float-valued
     parameter averaged under another labeling can differ in the last bit.
-    An empty degree collection contributes the empty graph, value f() = 0
-    for every parameter in the suite.
     """
-    key = tuple(sorted(as_degrees(degrees))) if degrees else ()
+    key = tuple(sorted(as_degrees(degrees)))
     if _cache is not None and key in _cache:
         return _cache[key]
     sys = HalfEdgeSystem(key)
@@ -282,8 +278,8 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
     estimates the three expectations and allows four combined standard
     errors.
     """
-    degrees = as_degrees(degrees) if degrees else ()
     sys = HalfEdgeSystem(degrees)
+    degrees = sys.degrees
     instance = InterpolationInstance(sys, bp, f).describe()
     sub_a = tuple(degrees[i - 1] for i in sorted(bp.a))
     sub_b = tuple(degrees[i - 1] for i in sorted(bp.b))
@@ -301,15 +297,9 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
     if reps < 1:
         raise ValueError("reps must be >= 1")
 
-    estimates = []
-    for part in (sub_a, sub_b, degrees):
-        if part:
-            estimates.append(mean_stderr(
-                graph_values(f, part, len(part), reps, rng, workers)))
-        else:
-            seeding.fork_root(rng)  # so the other parts keep their streams
-            estimates.append((0.0, 0.0))
-    (ma, sa), (mb, sb), (mfull, sfull) = estimates
+    (ma, sa), (mb, sb), (mfull, sfull) = (
+        mean_stderr(graph_values(f, part, len(part), reps, rng, workers))
+        for part in (sub_a, sub_b, degrees))
     allowance = EXPECTATION_SIGMAS * math.sqrt(sa ** 2 + sb ** 2 + sfull ** 2)
     return _result("main", instance, f"mode=mc reps={reps}",
                    ma + mb, mfull + pen, allowance)

@@ -26,7 +26,7 @@ from ._parallel import pmap
 from .config_model import sample_uniform_graph
 from .degree import (
     DegreeDistribution,
-    DegreeSequence,
+    HalfEdgeSystem,
     as_degrees,
     empirical,
     sample_iid,
@@ -106,7 +106,7 @@ class Verdict:
 # degree sequences realizing a target distribution
 
 
-def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> DegreeSequence:
+def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> HalfEdgeSystem:
     """Deterministic length-n sequence with proportions as close to mu as
     largest-remainder rounding allows.
 
@@ -126,7 +126,7 @@ def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> DegreeSequence:
     degrees = [k for k in sorted(counts) for _ in range(counts[k])]
     if sum(degrees) % 2 == 1:
         degrees[-1] += 1
-    return DegreeSequence(tuple(degrees))
+    return HalfEdgeSystem(degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +330,10 @@ def compare_expectations(f: GraphParameter, d, d2, reps: int,
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
+    dist = float(wasserstein(empirical(a), empirical(b)))
     (ma, sa), (mb, sb) = (
         mean_stderr(graph_values(f, seq, n, reps, rng, workers) / n)
         for seq in (a, b))
-    dist = float(wasserstein(empirical(a), empirical(b)))
     allowance = EXPECTATION_SIGMAS * math.sqrt(sa ** 2 + sb ** 2)
     return Verdict.of("compare_expectations", abs(ma - mb),
                       2.0 * f.kappa * dist, allowance, seed, n=n,

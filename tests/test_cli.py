@@ -84,6 +84,18 @@ def test_sample_simple_rejection_failure_is_exit_one(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["sample", "--degrees", ""],
+    ["sample", "--degrees", ","],
+    ["compare", "--param", "independence", "--degrees", "",
+     "--degrees2", ""],
+], ids=["sample-blank", "sample-comma", "compare-blank"])
+def test_empty_degrees_option_is_usage_error(runner, args):
+    result = invoke(runner, *args, "--seed", 1)
+    assert result.exit_code == 2
+    assert "empty degree sequence" in result.output
+
+
 def test_sample_iid_degrees(runner, tmp_path):
     out = tmp_path / "g.txt"
     result = invoke(runner, "sample", "--mu", '{"1": 1.0}', "--n", 10,

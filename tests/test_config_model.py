@@ -98,6 +98,10 @@ def test_sample_uniform_graph_forced_outcomes():
         assert g == Multigraph(1, ((1, 1),))
 
 
+def test_sample_uniform_graph_empty_sequence():
+    assert sample_uniform_graph((), np.random.default_rng(0)) == Multigraph(0)
+
+
 def test_sample_uniform_graph_matching_frequencies():
     # four degree-1 vertices: each of the 3 perfect matchings shows up 1/3
     rng = np.random.default_rng(1)

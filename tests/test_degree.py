@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphlimits.degree import (
     DegreeDistribution,
-    DegreeSequence,
+    HalfEdgeSystem,
     empirical,
     sample_iid,
     sorted_l1,
@@ -60,11 +60,24 @@ def test_json_renormalizes_within_tolerance():
 
 
 def test_degree_sequence_validates():
-    with pytest.raises(ValueError, match="empty degree sequence"):
-        DegreeSequence(())
     with pytest.raises(ValueError):
-        DegreeSequence((1, -2))
-    assert DegreeSequence((0, 2)).n == 2
+        HalfEdgeSystem((1, -2))
+    assert HalfEdgeSystem((0, 2)).n == 2
+
+
+def test_empty_half_edge_system():
+    sys = HalfEdgeSystem(())
+    assert (sys.n, sys.total, sys.half_edges()) == (0, 0, [])
+    assert len(sys) == 0 and list(sys) == []
+
+
+def test_half_edge_system_holds_python_ints():
+    from_array = HalfEdgeSystem(np.array([2, 1]).tolist())
+    from_tuple = HalfEdgeSystem((2, 1))
+    assert from_array == from_tuple
+    assert all(type(d) is int for d in from_array.degrees + from_tuple.degrees)
+    with pytest.raises(ValueError):
+        HalfEdgeSystem(("x",))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from graphlimits.graphs import (
     MAX_CUT,
     NEG_COMPONENTS,
     POS_COMPONENTS,
+    GraphParameter,
     Multigraph,
     _independence_degree_two,
     _independent_masks,
@@ -552,6 +553,18 @@ def test_certify_negative_control():
     assert not report.concave.passed
     assert report.concave.counterexample is not None
     assert not report.all_passed
+
+
+def test_certify_catches_understated_kappa():
+    # independence moves by 1 per added edge, twice the declared 1/2
+    understated = GraphParameter("independence", 0.5, independence_number)
+    report = certify_parameter(understated, 200, 6, np.random.default_rng(3),
+                               max_edges=8)
+    assert report.additive.passed
+    assert report.concave.passed
+    assert not report.lipschitz.passed
+    assert "G=" in report.lipschitz.counterexample
+    assert "kappa=0.5" in report.lipschitz.counterexample
 
 
 def test_certification_report_json():

@@ -1,13 +1,22 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from graphlimits.cli import _write_records
 from graphlimits.degree import DegreeDistribution
-from graphlimits.graphs import INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, ising_parameter
+from graphlimits.graphs import (
+    INDEPENDENCE,
+    MAX_CUT,
+    NEG_COMPONENTS,
+    GraphParameter,
+    independence_number,
+    ising_parameter,
+)
+from graphlimits.interpolation import expected_parameter
 from graphlimits.limits import (
     check_concentration,
     check_lipschitz_psi,
@@ -17,6 +26,7 @@ from graphlimits.limits import (
     concentration_bound,
     estimate_psi,
     fixed_degree_sequence,
+    graph_values,
 )
 
 D1 = DegreeDistribution.point_mass(1)
@@ -200,6 +210,33 @@ def test_concentration_spin_parameter():
     assert report.all_hold
 
 
+def test_concentration_negative_control():
+    # independence has standard deviation ~5 here, against the bound's
+    # scale 2 * kappa * sqrt(total degree 3000): ~110 at the true kappa = 1,
+    # ~3.7 at a kappa understated 30-fold, whose tails must then fail
+    degrees = (1,) * 1000 + (2,) * 1000
+    understated = GraphParameter("independence_understated", 1 / 30,
+                                 independence_number)
+    report = check_concentration(understated, degrees, 200, [5.0, 8.0],
+                                 np.random.default_rng(1))
+    assert not any(row.verdict for row in report.rows)
+    report = check_concentration(INDEPENDENCE, degrees, 200, [5.0, 8.0],
+                                 np.random.default_rng(1))
+    assert report.all_hold
+
+
+# ---------------------------------------------------------------------------
+# empty degree sequence
+
+
+@pytest.mark.parametrize("param", [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS,
+                                   ising_parameter(1.0)])
+def test_empty_degree_sequence_is_the_empty_graph(param):
+    assert expected_parameter(param, ()) == 0
+    values = graph_values(param, (), 0, 4, np.random.default_rng(0))
+    assert values.tolist() == [0.0] * 4
+
+
 # ---------------------------------------------------------------------------
 # expectation comparison
 
@@ -217,6 +254,14 @@ def test_compare_reports_solver_limit():
     with pytest.raises(ValueError, match="n=100"):
         compare_expectations(INDEPENDENCE, (2,) * 100, (3,) * 100, 30,
                              np.random.default_rng(17))
+
+
+def test_compare_rejects_empty_sequences():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty degree sequence"):
+            compare_expectations(NEG_COMPONENTS, (), (), 3,
+                                 np.random.default_rng(0))
 
 
 def test_compare_transport_bound():
