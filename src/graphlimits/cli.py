@@ -292,20 +292,14 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
     rng = seeding.stream(seed, "interp-verify")
 
     if sweep:
-        records, least = [], float("inf")
-
-        def on_record(v):
-            nonlocal least
-            least = min(least, v.slack)
-            if output:
-                records.append(v)
-
+        # records are built only to be written
+        records = []
         summary = itp.run_sweep(resolved, max_total_degree, max_vertices,
-                                on_record=on_record)
+                                on_record=records.append if output else None)
         _write_records(output, fmt, "verifier", records)
         _finish(f"interp-verify: {summary.total_checked} inequalities on "
                 f"{summary.instances} instances, "
-                f"{len(summary.violations)} violations", least,
+                f"{len(summary.violations)} violations", summary.min_slack,
                 summary.all_hold)
         return
 

@@ -40,6 +40,7 @@ from .degree import HalfEdgeSystem, as_degrees
 from .graphs import Multigraph
 
 ENUMERATION_BUDGET = 12  # max total degree for exhaustive matching lists
+MULTIGRAPH_BUDGET = 16  # max total degree for enumerate_multigraphs
 DEFAULT_MAX_TRIES = 10_000
 
 
@@ -277,11 +278,11 @@ def _is_simple(g: Multigraph) -> bool:
 # exhaustive enumeration (small systems only)
 
 
-def _check_budget(sys: HalfEdgeSystem):
-    if sys.total > ENUMERATION_BUDGET:
+def _check_budget(sys: HalfEdgeSystem, budget: int = ENUMERATION_BUDGET):
+    if sys.total > budget:
         raise ValueError(
             f"enumeration budget exceeded: degrees {sys.degrees} have total "
-            f"degree {sys.total} > {ENUMERATION_BUDGET}")
+            f"degree {sys.total} > {budget}")
 
 
 def enumerate_multigraphs(sys: HalfEdgeSystem, size: int | None = None) -> list:
@@ -295,7 +296,7 @@ def enumerate_multigraphs(sys: HalfEdgeSystem, size: int | None = None) -> list:
     of each vertex pair (i <= j) in lexicographic order, so no graph is
     produced twice.
     """
-    _check_budget(sys)
+    _check_budget(sys, MULTIGRAPH_BUDGET)
     degrees = sys.degrees
     free = list(degrees)
     active = [i for i, d in enumerate(degrees) if d > 0]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 from numbers import Rational
 
@@ -114,6 +114,71 @@ def _result(check, instance, counts, lhs, rhs, allowance=0.0) -> Verdict:
     bound = (rhs + allowance if allowance else rhs) + DEFAULT_TOL
     return Verdict(check, float(lhs), float(rhs), allowance,
                    _at_most(lhs, bound), instance, counts)
+
+
+@cache
+def _upper_pairs(n: int) -> tuple:
+    return np.triu_indices(n, 1)
+
+
+def _pair_distances(triples) -> tuple:
+    """Indices (i, j) of every pair i < j of ``triples``, in row-major
+    order, and the L1 distance of each pair."""
+    i, j = _upper_pairs(len(triples))
+    t = np.array(triples, dtype=np.int64)
+    return i, j, np.abs(t[i] - t[j]).sum(axis=1)
+
+
+def _threshold(bound, scale: int, span: int) -> int:
+    """floor(bound * scale), clipped to -1..span: an integer in 0..span is
+    at most ``bound * scale`` iff it is at most this threshold."""
+    if not math.isfinite(bound):
+        return span if bound > 0 else -1
+    num, den = bound.as_integer_ratio()
+    return max(-1, min(span, num * scale // den))
+
+
+def _lipschitz_table(kappa, means, i, j, dist) -> tuple:
+    """Decide |F_i - F_j| <= kappa * dist for every pair (i, j) of ``means``
+    at once, with the verdict :func:`_result` gives each pair.
+
+    Returns the arrays (lhs, rhs, verdict) of the pairs' records.  Rational
+    means are put over one denominator L: with integer numerators N_k, a
+    pair passes iff |N_i - N_j| <= floor((kappa * dist + DEFAULT_TOL) * L),
+    which is exact, in int64 when the numerators fit and in Python integers
+    otherwise.  Float means take the scalar comparison's IEEE steps, and
+    means of mixed types are compared as Python objects.
+    """
+    top = int(dist.max(initial=0))
+    rhs = [kappa * d for d in range(top + 1)]
+    bounds = [r + DEFAULT_TOL for r in rhs]
+    if all(isinstance(m, Rational) for m in means):
+        # a list: math.lcm(*generator) leaks memory on CPython 3.11
+        scale = math.lcm(*[m.denominator for m in means])
+        nums = [m.numerator * (scale // m.denominator) for m in means]
+        span = max(nums) - min(nums)
+        # below 2**53 every gap and the scale are exact doubles, so gap /
+        # scale rounds once, as float(Fraction) does
+        exact = max(map(abs, nums)) < 2 ** 52 and scale < 2 ** 53
+        dtype = np.int64 if exact else object
+        values = np.array(nums, dtype=dtype)
+        limits = np.array([_threshold(b, scale, span) for b in bounds],
+                          dtype=dtype)
+    else:
+        scale = 1
+        floats = all(type(m) is float for m in means)
+        values = np.array(means, dtype=float if floats else object)
+        limits = np.array(bounds, dtype=float if floats else object)
+    gap = np.abs(values[i] - values[j])
+    verdict = gap <= limits[dist]
+    lhs = np.asarray(gap / scale, dtype=float)
+    return lhs, np.array(rhs, dtype=float)[dist], verdict
+
+
+def _lipschitz_verdict(instance: str, c1, c2, lhs: float, rhs: float,
+                       verdict: bool) -> Verdict:
+    return Verdict("lipschitz", lhs, rhs, 0.0, verdict, instance,
+                   f"{tuple(c1)}|{tuple(c2)}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +284,14 @@ def default_corridor_width(gamma: int) -> int:
 
 def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
                      c2: PairingCounts, mean_fn=None) -> Verdict:
-    """|F(c1) - F(c2)| <= kappa * (|da| + |db| + |dg|)."""
+    """|F(c1) - F(c2)| <= kappa * (|da| + |db| + |dg|), decided by the
+    sweep's pair table on one pair."""
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
     c1, c2 = PairingCounts(*c1), PairingCounts(*c2)
-    lhs = abs(mean_fn(c1) - mean_fn(c2))
-    rhs = inst.f.kappa * (abs(c1.alpha - c2.alpha) + abs(c1.beta - c2.beta)
-                          + abs(c1.gamma - c2.gamma))
-    return _result("lipschitz", inst.describe(), f"{tuple(c1)}|{tuple(c2)}",
-                   lhs, rhs)
+    table = _lipschitz_table(inst.f.kappa, [mean_fn(c1), mean_fn(c2)],
+                             *_pair_distances([c1, c2]))
+    (lhs,), (rhs,), (verdict,) = (a.tolist() for a in table)
+    return _lipschitz_verdict(inst.describe(), c1, c2, lhs, rhs, verdict)
 
 
 def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
@@ -516,6 +581,7 @@ class SweepSummary:
     checked: dict = field(default_factory=lambda: dict.fromkeys(
         ("lipschitz", "local", "global", "main"), 0))
     violations: list = field(default_factory=list)
+    min_slack: float = math.inf
 
     @property
     def total_checked(self) -> int:
@@ -536,7 +602,10 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     degree function's distinct multigraphs are enumerated once with their
     matching counts as weights and evaluated once per parameter; every
     bipartition buckets them by pair-type counts, and each class mean is
-    their weighted mean.
+    their weighted mean.  The Lipschitz pairs of an instance are decided
+    together by :func:`_lipschitz_table`; a pair becomes a ``Verdict`` only
+    for ``on_record`` or when it fails.  ``min_slack`` is the smallest
+    slack over all checked inequalities.
     """
     summary = SweepSummary()
     # indexed by position: distinct parameters may share a name
@@ -544,6 +613,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
 
     def emit(result: Verdict):
         summary.checked[result.check] += 1
+        summary.min_slack = min(summary.min_slack, result.slack)
         if not result.verdict:
             summary.violations.append(result)
         if on_record is not None:
@@ -560,6 +630,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             for k, (g, _) in enumerate(weighted):
                 buckets.setdefault(counts_of_graph(g, bp), []).append(k)
             triples = sorted(buckets)
+            pairs = _pair_distances(triples)
             for p, param in enumerate(params):
                 inst = InterpolationInstance(sys, bp, param)
                 vals = values[p]
@@ -569,10 +640,22 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 mean_fn = F.__getitem__
 
                 if "lipschitz" in checks:
-                    for i in range(len(triples)):
-                        for j in range(i + 1, len(triples)):
-                            emit(verify_lipschitz(inst, triples[i], triples[j],
-                                                  mean_fn))
+                    lhs, rhs, ok = _lipschitz_table(
+                        param.kappa, [F[c] for c in triples], *pairs)
+                    # Verdict.slack of each pair, whose allowance is 0.0;
+                    # fmin skips NaN as the fold in emit does
+                    slack = rhs + 0.0 - lhs
+                    summary.min_slack = min(summary.min_slack, float(
+                        np.fmin.reduce(slack, initial=math.inf)))
+                    shown = (range(len(ok)) if on_record is not None
+                             else np.flatnonzero(~ok).tolist())
+                    summary.checked["lipschitz"] += len(ok) - len(shown)
+                    i, j = pairs[0].tolist(), pairs[1].tolist()
+                    lhs, rhs, ok = lhs.tolist(), rhs.tolist(), ok.tolist()
+                    for k in shown:
+                        emit(_lipschitz_verdict(
+                            inst.describe(), triples[i[k]], triples[j[k]],
+                            lhs[k], rhs[k], ok[k]))
                 if "local" in checks:
                     for c in triples:
                         delta = 2

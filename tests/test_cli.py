@@ -137,6 +137,19 @@ def test_interp_verify_sweep(runner, tmp_path):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize("params", [(), ("--param", "ising", "--beta", 0.5)])
+def test_interp_verify_sweep_stdout_needs_no_records(runner, tmp_path, params):
+    # without --output no record is built; the line, min_slack included,
+    # must not change
+    args = ["interp-verify", "--sweep", "--max-total-degree", 5,
+            "--max-vertices", 3, *params, "--seed", 7]
+    written = invoke(runner, *args, "--output", tmp_path / "sweep.csv")
+    plain = invoke(runner, *args)
+    assert plain.exit_code == written.exit_code == 0
+    assert plain.output == written.output
+    assert "min_slack=" in plain.output
+
+
 def test_interp_verify_hidden_phi_factor_forces_failure(runner, monkeypatch):
     monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
     result = invoke(runner, "interp-verify", "--sweep",

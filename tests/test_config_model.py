@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -170,8 +171,18 @@ def test_enumerate_class_partitions_all_matchings():
 @pytest.mark.parametrize("enumerate_", [
     enumerate_matchings, enumerate_maximal_matchings, enumerate_multigraphs])
 def test_enumeration_budget_names_the_degrees(enumerate_):
-    with pytest.raises(ValueError, match=r"budget.*degrees \(7, 6\)"):
-        enumerate_(HalfEdgeSystem((7, 6)))
+    # the multigraph enumerator has a larger budget than the matching lists
+    degrees = (9, 8) if enumerate_ is enumerate_multigraphs else (7, 6)
+    with pytest.raises(ValueError,
+                       match=r"budget.*degrees " + re.escape(str(degrees))):
+        enumerate_(HalfEdgeSystem(degrees))
+
+
+def test_multigraph_budget_reaches_total_degree_sixteen():
+    # the weights count every partial matching of the 16 half-edges: the
+    # involution (telephone) number T(16)
+    weighted = enumerate_multigraphs(HalfEdgeSystem((8, 8)))
+    assert sum(w for _, w in weighted) == 46_206_736
 
 
 def test_enumerate_multigraphs_examples():

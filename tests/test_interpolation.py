@@ -1,13 +1,16 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 from numbers import Rational
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlimits import interpolation
+from graphlimits.limits import Verdict
 from graphlimits.config_model import (
     Bipartition,
     HalfEdgeSystem,
@@ -22,7 +25,9 @@ from graphlimits.graphs import (
     MAX_CUT,
     NEG_COMPONENTS,
     GraphParameter,
+    independence_number,
     ising_parameter,
+    potts_parameter,
 )
 from graphlimits.interpolation import (
     InterpolationInstance,
@@ -434,3 +439,174 @@ def test_run_sweep_detects_shrunk_penalty(monkeypatch):
     summary = run_sweep([INDEPENDENCE], max_total_degree=2, max_vertices=2,
                         checks=("global", "main"))
     assert not summary.all_hold
+
+
+# ---------------------------------------------------------------------------
+# the Lipschitz pair table against a scalar oracle
+
+
+def _oracle_records(params, max_total_degree, max_vertices):
+    """Every Lipschitz record of the sweep, in its order, from one
+    ``_result`` per pair over ``class_mean``."""
+    out = []
+    for degrees in degree_functions(max_vertices, max_total_degree):
+        sys = HalfEdgeSystem(degrees)
+        for bp in bipartitions_of(sys.n):
+            triples = sorted(feasible_triples(sys, bp))
+            for f in params:
+                inst = InterpolationInstance(sys, bp, f)
+                mean = {c: class_mean(inst, c) for c in triples}
+                for c1, c2 in combinations(triples, 2):
+                    d = sum(abs(x - y) for x, y in zip(c1, c2))
+                    out.append(_result(
+                        "lipschitz", inst.describe(), f"{tuple(c1)}|{tuple(c2)}",
+                        abs(mean[c1] - mean[c2]), f.kappa * d))
+    return out
+
+
+def _fields(records):
+    return [(r.check, r.instance, r.counts, r.lhs, r.rhs, r.slack, r.verdict)
+            for r in records]
+
+
+def _sweep_lipschitz(params, max_total_degree, max_vertices):
+    records = []
+    run_sweep(params, max_total_degree, max_vertices, checks=("lipschitz",),
+              on_record=records.append)
+    return records
+
+
+@pytest.mark.parametrize("params, max_total_degree", [
+    ([INDEPENDENCE, MAX_CUT, NEG_COMPONENTS], 6),
+    ([ising_parameter(0.5), potts_parameter(3, 0.7)], 7),
+], ids=["integer", "spin"])
+def test_lipschitz_records_match_the_scalar_oracle(params, max_total_degree):
+    got = _fields(_sweep_lipschitz(params, max_total_degree, 4))
+    assert got == _fields(_oracle_records(params, max_total_degree, 4))
+
+
+def test_lipschitz_violations_match_the_scalar_oracle():
+    # a kappa far below the independence number's true constant: many
+    # pairs fail, and the sweep must report exactly the oracle's failures
+    tight = GraphParameter("independence", 0.01, independence_number)
+    summary = run_sweep([tight], 6, 3, checks=("lipschitz",))
+    oracle = _oracle_records([tight], 6, 3)
+    failed = [r for r in oracle if not r.verdict]
+    assert failed
+    assert _fields(summary.violations) == _fields(failed)
+    assert summary.checked["lipschitz"] == len(oracle)
+
+
+@pytest.mark.parametrize("kappa, above, rounds_onto_bound", [
+    (1 / 3, Fraction(1, 10 ** 40), True),  # numerators beyond int64
+    (2.0 ** 20, Fraction(1, 2 ** 30), False),  # one ulp; int64 numerators
+], ids=["beyond-int64", "int64"])
+def test_lipschitz_table_at_the_float_bound(kappa, above, rounds_onto_bound):
+    # as in test_result_verdict_at_the_float_bound: a rational lhs equal to
+    # the float bound passes, and one just above it fails
+    at = Fraction(kappa + 1e-9)
+    above += at
+    triples = [PairingCounts(0, 0, 0), PairingCounts(1, 0, 0),
+               PairingCounts(0, 1, 0)]
+    lhs, rhs, ok = interpolation._lipschitz_table(
+        kappa, [Fraction(0), at, above], *interpolation._pair_distances(triples))
+    assert ok.tolist() == [True, False, True]
+    assert lhs.tolist() == [float(at), float(above), float(above - at)]
+    assert rhs.tolist() == [kappa, kappa, 2 * kappa]
+    assert (float(above) == kappa + 1e-9) == rounds_onto_bound
+    inst = InterpolationInstance(SYS22, BP22,
+                                 GraphParameter("t", kappa, independence_number))
+    means = {PairingCounts(1, 0, 0): at, PairingCounts(0, 1, 0): above,
+             PairingCounts(0, 0, 0): Fraction(0)}
+    assert verify_lipschitz(inst, triples[0], triples[1], means.get).verdict
+    assert not verify_lipschitz(inst, triples[2], triples[0], means.get).verdict
+
+
+def test_lipschitz_table_keeps_rational_pairs_exact_beside_floats():
+    # the first pair is 1e-40 above its float bound; a float mean in the
+    # same table must not turn that pair into a float comparison
+    kappa = 1 / 3
+    triples = [PairingCounts(0, 0, 0), PairingCounts(1, 0, 0),
+               PairingCounts(0, 1, 0)]
+    means = [Fraction(0), Fraction(kappa + 1e-9) + Fraction(1, 10 ** 40), 0.25]
+    i, j, dist = interpolation._pair_distances(triples)
+    lhs, rhs, ok = interpolation._lipschitz_table(kappa, means, i, j, dist)
+    oracle = [_result("lipschitz", "", "", abs(means[a] - means[b]), kappa * d)
+              for a, b, d in zip(i, j, dist)]
+    assert ok.tolist() == [r.verdict for r in oracle] == [False, True, True]
+    assert lhs.tolist() == [r.lhs for r in oracle]
+    assert rhs.tolist() == [r.rhs for r in oracle]
+
+
+def test_lipschitz_table_beyond_int64():
+    # class means with denominator 3**41 > 2**63: each edge is worth a hair
+    # more than 1 + 1e-9, so every pair whose distance equals its edge-count
+    # difference fails by 3**-41, and the others pass
+    assert 3 ** 41 > 2 ** 63
+    step = Fraction(1 + 1e-9) + Fraction(1, 3 ** 41)
+    param = GraphParameter("edges", 1.0, lambda g: step * g.num_edges)
+    records = _sweep_lipschitz([param], 4, 3)
+    assert _fields(records) == _fields(_oracle_records([param], 4, 3))
+    assert {r.verdict for r in records} == {True, False}
+
+
+def test_run_sweep_builds_verdicts_only_for_records_and_failures(monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return Verdict(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "Verdict", counting)
+    summary = run_sweep([INDEPENDENCE], 6, 3, checks=("lipschitz",))
+    assert summary.all_hold and summary.checked["lipschitz"] > 0
+    assert built == []
+    records = []
+    run_sweep([INDEPENDENCE], 6, 3, checks=("lipschitz",),
+              on_record=records.append)
+    assert len(built) == len(records) == summary.checked["lipschitz"]
+    built.clear()
+    tight = GraphParameter("independence", 0.01, independence_number)
+    summary = run_sweep([tight], 6, 3, checks=("lipschitz",))
+    assert len(built) == len(summary.violations) > 0
+
+
+def test_run_sweep_min_slack_is_the_least_record_slack():
+    for params in ([INDEPENDENCE, MAX_CUT, NEG_COMPONENTS],
+                   [ising_parameter(0.5)]):
+        records = []
+        summary = run_sweep(params, 5, 3, on_record=records.append)
+        assert summary.min_slack == min(r.slack for r in records)
+        assert run_sweep(params, 5, 3).min_slack == summary.min_slack
+
+
+@st.composite
+def _down_closed_means(draw):
+    """A down-closed set of count triples and kappa-Lipschitz rational
+    means on it (the larger of two linear forms with slopes in
+    [-kappa, kappa]), each shifted by a random multiple of a small step
+    that may break the unit-step checks."""
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1,
+                         max_size=3))
+    triples = sorted({PairingCounts(a, b, g) for top in tops
+                      for a, b, g in product(*(range(t + 1) for t in top))})
+    kappa = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    den = draw(st.integers(1, 6))
+    slopes = [[Fraction(draw(st.integers(-den, den)), den) * Fraction(kappa)
+               for _ in range(3)] for _ in range(2)]
+    shift = Fraction(1, 8 * den)
+    means = [max(sum(s * x for s, x in zip(row, c)) for row in slopes)
+             + shift * draw(st.integers(-1, 1)) for c in triples]
+    return kappa, triples, means
+
+
+@settings(max_examples=300, deadline=None)
+@given(_down_closed_means())
+def test_unit_steps_imply_every_lipschitz_pair(case):
+    # on a down-closed set a monotone path of unit steps joins any two
+    # triples, so in exact arithmetic the unit-step checks imply all pairs
+    kappa, triples, means = case
+    i, j, dist = interpolation._pair_distances(triples)
+    _, _, ok = interpolation._lipschitz_table(kappa, means, i, j, dist)
+    if ok[dist == 1].all():
+        assert ok.all()
