@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from itertools import combinations, product
 from numbers import Rational
 
@@ -116,26 +116,21 @@ def _result(check, instance, counts, lhs, rhs, allowance=0.0) -> Verdict:
                    _at_most(lhs, bound), instance, counts)
 
 
-@cache
-def _upper_pairs(n: int) -> tuple:
-    return np.triu_indices(n, 1)
-
-
 def _pair_distances(triples) -> tuple:
     """Indices (i, j) of every pair i < j of ``triples``, in row-major
     order, and the L1 distance of each pair."""
-    i, j = _upper_pairs(len(triples))
+    i, j = np.triu_indices(len(triples), 1)
     t = np.array(triples, dtype=np.int64)
     return i, j, np.abs(t[i] - t[j]).sum(axis=1)
 
 
-def _threshold(bound, scale: int, span: int) -> int:
-    """floor(bound * scale), clipped to -1..span: an integer in 0..span is
-    at most ``bound * scale`` iff it is at most this threshold."""
+def _threshold(bound, scale: int):
+    """floor(bound * scale): an integer is at most ``bound * scale`` iff it
+    is at most this.  A non-finite bound is returned as it is."""
     if not math.isfinite(bound):
-        return span if bound > 0 else -1
+        return bound
     num, den = bound.as_integer_ratio()
-    return max(-1, min(span, num * scale // den))
+    return num * scale // den
 
 
 def _lipschitz_table(kappa, means, i, j, dist) -> tuple:
@@ -145,32 +140,22 @@ def _lipschitz_table(kappa, means, i, j, dist) -> tuple:
     Returns the arrays (lhs, rhs, verdict) of the pairs' records.  Rational
     means are put over one denominator L: with integer numerators N_k, a
     pair passes iff |N_i - N_j| <= floor((kappa * dist + DEFAULT_TOL) * L),
-    which is exact, in int64 when the numerators fit and in Python integers
-    otherwise.  Float means take the scalar comparison's IEEE steps, and
-    means of mixed types are compared as Python objects.
+    which is exact.  Other means are compared with the scalar comparison's
+    own operations.  Values stay Python numbers in object arrays, so no
+    numerator overflows and gap / L rounds once, as ``float(Fraction)``.
     """
     top = int(dist.max(initial=0))
     rhs = [kappa * d for d in range(top + 1)]
     bounds = [r + DEFAULT_TOL for r in rhs]
+    scale = 1
     if all(isinstance(m, Rational) for m in means):
         # a list: math.lcm(*generator) leaks memory on CPython 3.11
         scale = math.lcm(*[m.denominator for m in means])
-        nums = [m.numerator * (scale // m.denominator) for m in means]
-        span = max(nums) - min(nums)
-        # below 2**53 every gap and the scale are exact doubles, so gap /
-        # scale rounds once, as float(Fraction) does
-        exact = max(map(abs, nums)) < 2 ** 52 and scale < 2 ** 53
-        dtype = np.int64 if exact else object
-        values = np.array(nums, dtype=dtype)
-        limits = np.array([_threshold(b, scale, span) for b in bounds],
-                          dtype=dtype)
-    else:
-        scale = 1
-        floats = all(type(m) is float for m in means)
-        values = np.array(means, dtype=float if floats else object)
-        limits = np.array(bounds, dtype=float if floats else object)
+        means = [m.numerator * (scale // m.denominator) for m in means]
+        bounds = [_threshold(b, scale) for b in bounds]
+    values = np.array(means, dtype=object)
     gap = np.abs(values[i] - values[j])
-    verdict = gap <= limits[dist]
+    verdict = gap <= np.array(bounds, dtype=object)[dist]
     lhs = np.asarray(gap / scale, dtype=float)
     return lhs, np.array(rhs, dtype=float)[dist], verdict
 
@@ -630,7 +615,9 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             for k, (g, _) in enumerate(weighted):
                 buckets.setdefault(counts_of_graph(g, bp), []).append(k)
             triples = sorted(buckets)
-            pairs = _pair_distances(triples)
+            if "lipschitz" in checks:
+                i, j, dist = _pair_distances(triples)
+                ends = list(zip(i.tolist(), j.tolist()))
             for p, param in enumerate(params):
                 inst = InterpolationInstance(sys, bp, param)
                 vals = values[p]
@@ -641,7 +628,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
 
                 if "lipschitz" in checks:
                     lhs, rhs, ok = _lipschitz_table(
-                        param.kappa, [F[c] for c in triples], *pairs)
+                        param.kappa, [F[c] for c in triples], i, j, dist)
                     # Verdict.slack of each pair, whose allowance is 0.0;
                     # fmin skips NaN as the fold in emit does
                     slack = rhs + 0.0 - lhs
@@ -650,11 +637,11 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                     shown = (range(len(ok)) if on_record is not None
                              else np.flatnonzero(~ok).tolist())
                     summary.checked["lipschitz"] += len(ok) - len(shown)
-                    i, j = pairs[0].tolist(), pairs[1].tolist()
                     lhs, rhs, ok = lhs.tolist(), rhs.tolist(), ok.tolist()
                     for k in shown:
+                        a, b = ends[k]
                         emit(_lipschitz_verdict(
-                            inst.describe(), triples[i[k]], triples[j[k]],
+                            inst.describe(), triples[a], triples[b],
                             lhs[k], rhs[k], ok[k]))
                 if "local" in checks:
                     for c in triples:

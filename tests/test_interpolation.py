@@ -499,8 +499,8 @@ def test_lipschitz_violations_match_the_scalar_oracle():
 
 @pytest.mark.parametrize("kappa, above, rounds_onto_bound", [
     (1 / 3, Fraction(1, 10 ** 40), True),  # numerators beyond int64
-    (2.0 ** 20, Fraction(1, 2 ** 30), False),  # one ulp; int64 numerators
-], ids=["beyond-int64", "int64"])
+    (2.0 ** 20, Fraction(1, 2 ** 30), False),  # one ulp above
+], ids=["rounds-onto-bound", "one-ulp-above"])
 def test_lipschitz_table_at_the_float_bound(kappa, above, rounds_onto_bound):
     # as in test_result_verdict_at_the_float_bound: a rational lhs equal to
     # the float bound passes, and one just above it fails
