@@ -99,11 +99,12 @@ class Multigraph:
             deg[j - 1] += 1
         return tuple(deg)
 
-    def _degree_array(self) -> np.ndarray:
-        return np.array(self.degrees(), dtype=np.int64)
-
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
+
+    def _tails(self) -> np.ndarray:
+        """The first (0-based) endpoint of each edge."""
+        return np.array([i for i, _ in self.edges], dtype=np.int64) - 1
 
     def add_edge(self, i: int, j: int) -> "Multigraph":
         return Multigraph(self.n, self.edges + ((i, j),))
@@ -184,6 +185,9 @@ class _ArrayMultigraph(Multigraph):
 
     def max_degree(self) -> int:
         return int(self._degree_array().max(initial=0))
+
+    def _tails(self) -> np.ndarray:
+        return self.edge_array[:, 0] - 1
 
 
 def random_multigraph(rng: np.random.Generator, max_vertices: int,
@@ -276,8 +280,8 @@ def _degree_two_arrays(g: Multigraph) -> tuple:
     are 1-cycles, double edges 2-cycles)."""
     root = _component_roots(g)
     vertices = np.bincount(root)
-    # a component's degrees sum to twice its edge count
-    edges = np.bincount(root, weights=g._degree_array()).astype(np.int64) // 2
+    # an edge lies in the component of its endpoints
+    edges = np.bincount(root[g._tails()], minlength=len(vertices))
     # a connected component has e >= v - 1, so e <= v leaves a path or a cycle
     if np.count_nonzero(edges > vertices):
         raise AssertionError("degree-2 component with unexpected edge count")

@@ -74,12 +74,16 @@ class InterpolationInstance:
 
     def __post_init__(self):
         self.bp.check_covers(self.sys)
-        # a sweep reports every inequality of an instance under this label
-        object.__setattr__(self, "_label", f"d={self.sys.degrees} "
-                           f"A={sorted(self.bp.a)} f={self.f.name}")
+        object.__setattr__(self, "_label",
+                           _label(self.sys.degrees, self.bp, self.f))
 
     def describe(self) -> str:
         return self._label
+
+
+def _label(degrees, bp: Bipartition, f: GraphParameter) -> str:
+    """The instance label that every record of an instance carries."""
+    return f"d={degrees} A={sorted(bp.a)} f={f.name}"
 
 
 def _weighted_mean(values, weights):
@@ -108,12 +112,17 @@ def _at_most(lhs, bound) -> bool:
     return bool(lhs <= bound)
 
 
-def _result(check, instance, counts, lhs, rhs, allowance=0.0) -> Verdict:
-    """Verdict on lhs <= rhs + allowance + DEFAULT_TOL; a zero allowance is
-    not added, so that a rational rhs keeps the comparison exact."""
+def _decide(lhs, rhs, allowance=0.0) -> tuple:
+    """(float lhs, float rhs, verdict) of lhs <= rhs + allowance +
+    DEFAULT_TOL; a zero allowance is not added, so that a rational rhs
+    keeps the comparison exact."""
     bound = (rhs + allowance if allowance else rhs) + DEFAULT_TOL
-    return Verdict(check, float(lhs), float(rhs), allowance,
-                   _at_most(lhs, bound), instance, counts)
+    return float(lhs), float(rhs), _at_most(lhs, bound)
+
+
+def _result(check, instance, counts, lhs, rhs, allowance=0.0) -> Verdict:
+    lhs, rhs, verdict = _decide(lhs, rhs, allowance)
+    return Verdict(check, lhs, rhs, allowance, verdict, instance, counts)
 
 
 def _pair_distances(triples) -> tuple:
@@ -122,6 +131,24 @@ def _pair_distances(triples) -> tuple:
     i, j = np.triu_indices(len(triples), 1)
     t = np.array(triples, dtype=np.int64)
     return i, j, np.abs(t[i] - t[j]).sum(axis=1)
+
+
+def _common_denominator(means) -> tuple:
+    """(values, scale): rational means as integer numerators over one common
+    denominator ``scale``; any other means as they are, with scale None.
+
+    The record rules below take means in this form.  With integer
+    numerators a rule compares one integer with floor(bound * scale),
+    which is exact; otherwise it uses the scalar comparison's own
+    operations.  Python integers never overflow, and n / scale rounds
+    once, as ``float(Fraction)`` does.
+    """
+    if all(isinstance(m, Rational) for m in means):
+        # a list: math.lcm(*generator) leaks memory on CPython 3.11
+        scale = math.lcm(*[int(m.denominator) for m in means])
+        return [int(m.numerator) * (scale // int(m.denominator))
+                for m in means], scale
+    return list(means), None
 
 
 def _threshold(bound, scale: int):
@@ -133,30 +160,22 @@ def _threshold(bound, scale: int):
     return num * scale // den
 
 
-def _lipschitz_table(kappa, means, i, j, dist) -> tuple:
-    """Decide |F_i - F_j| <= kappa * dist for every pair (i, j) of ``means``
-    at once, with the verdict :func:`_result` gives each pair.
+def _lipschitz_table(kappa, values, scale, i, j, dist) -> tuple:
+    """Decide |F_i - F_j| <= kappa * dist for every pair (i, j) of the means
+    ``values`` over ``scale`` (see :func:`_common_denominator`) at once.
 
-    Returns the arrays (lhs, rhs, verdict) of the pairs' records.  Rational
-    means are put over one denominator L: with integer numerators N_k, a
-    pair passes iff |N_i - N_j| <= floor((kappa * dist + DEFAULT_TOL) * L),
-    which is exact.  Other means are compared with the scalar comparison's
-    own operations.  Values stay Python numbers in object arrays, so no
-    numerator overflows and gap / L rounds once, as ``float(Fraction)``.
+    Returns the arrays (lhs, rhs, verdict) of the pairs' records.  Values
+    stay Python numbers in object arrays.
     """
     top = int(dist.max(initial=0))
     rhs = [kappa * d for d in range(top + 1)]
     bounds = [r + DEFAULT_TOL for r in rhs]
-    scale = 1
-    if all(isinstance(m, Rational) for m in means):
-        # a list: math.lcm(*generator) leaks memory on CPython 3.11
-        scale = math.lcm(*[m.denominator for m in means])
-        means = [m.numerator * (scale // m.denominator) for m in means]
+    if scale is not None:
         bounds = [_threshold(b, scale) for b in bounds]
-    values = np.array(means, dtype=object)
+    values = np.array(values, dtype=object)
     gap = np.abs(values[i] - values[j])
     verdict = gap <= np.array(bounds, dtype=object)[dist]
-    lhs = np.asarray(gap / scale, dtype=float)
+    lhs = np.asarray(gap / (scale or 1), dtype=float)
     return lhs, np.array(rhs, dtype=float)[dist], verdict
 
 
@@ -164,6 +183,32 @@ def _lipschitz_verdict(instance: str, c1, c2, lhs: float, rhs: float,
                        verdict: bool) -> Verdict:
     return Verdict("lipschitz", lhs, rhs, 0.0, verdict, instance,
                    f"{tuple(c1)}|{tuple(c2)}")
+
+
+def _local_record(kappa, x, y, z, delta: int, scale) -> tuple:
+    """(lhs, rhs, verdict) of (F_x + F_y) / 2 <= F_z + 2 * kappa / delta for
+    means over ``scale``.  An integer kappa keeps the bound rational."""
+    integral = float(kappa).is_integer()
+    if scale is None:
+        slack = (Fraction(2 * int(kappa), delta) if integral
+                 else 2.0 * kappa / delta)
+        return _decide(Fraction(1, 2) * (x + y), z + slack)
+    if integral:
+        rhs = (z * delta + 2 * int(kappa) * scale) / (scale * delta)
+    else:
+        rhs = z / scale + 2.0 * kappa / delta
+    return ((x + y) / (2 * scale), rhs,
+            x + y <= _threshold(rhs + DEFAULT_TOL, 2 * scale))
+
+
+def _global_record(kappa, top, cross, gamma: int, scale) -> tuple:
+    """(lhs, rhs, verdict) of F_top <= F_cross + penalty(gamma) for means
+    over ``scale``."""
+    pen = penalty(gamma, kappa)
+    if scale is None:
+        return _decide(top, cross + pen)
+    rhs = cross / scale + pen
+    return top / scale, rhs, top <= _threshold(rhs + DEFAULT_TOL, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +318,8 @@ def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
     sweep's pair table on one pair."""
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
     c1, c2 = PairingCounts(*c1), PairingCounts(*c2)
-    table = _lipschitz_table(inst.f.kappa, [mean_fn(c1), mean_fn(c2)],
+    table = _lipschitz_table(inst.f.kappa,
+                             *_common_denominator([mean_fn(c1), mean_fn(c2)]),
                              *_pair_distances([c1, c2]))
     (lhs,), (rhs,), (verdict,) = (a.tolist() for a in table)
     return _lipschitz_verdict(inst.describe(), c1, c2, lhs, rhs, verdict)
@@ -281,42 +327,40 @@ def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
 
 def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
                           delta: int, mean_fn=None) -> Verdict:
-    """(F(a+1,b,g) + F(a,b+1,g)) / 2 <= F(a,b,g+1) + 2*kappa/delta.
+    """(F(a+1,b,g) + F(a,b+1,g)) / 2 <= F(a,b,g+1) + 2*kappa/delta, decided
+    by the sweep's local rule on one record.
 
     Requires delta >= 2 and (a, b, g + delta) feasible, which makes all
     three extended classes non-empty.
     """
-    counts = PairingCounts(*counts)
-    stretched = PairingCounts(counts.alpha, counts.beta, counts.gamma + delta)
+    a, b, g = counts = PairingCounts(*counts)
+    stretched = PairingCounts(a, b, g + delta)
     if delta < 2 or not stretched.feasible(inst.sys, inst.bp):
         raise ValueError(
             "requires delta >= 2 and (alpha, beta, gamma + delta) feasible")
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
-    lhs = Fraction(1, 2) * (
-        mean_fn(PairingCounts(counts.alpha + 1, counts.beta, counts.gamma))
-        + mean_fn(PairingCounts(counts.alpha, counts.beta + 1, counts.gamma)))
-    kappa = inst.f.kappa
-    # keep the bound exact when kappa is an integer, so rational instances
-    # get rational verdicts
-    slack = (Fraction(2 * int(kappa), delta) if float(kappa).is_integer()
-             else 2.0 * kappa / delta)
-    rhs = mean_fn(PairingCounts(counts.alpha, counts.beta, counts.gamma + 1)) + slack
-    return _result("local", inst.describe(), f"{tuple(counts)} delta={delta}",
-                   lhs, rhs)
+    means, scale = _common_denominator(
+        [mean_fn(PairingCounts(*c)) for c in ((a + 1, b, g), (a, b + 1, g),
+                                               (a, b, g + 1))])
+    lhs, rhs, verdict = _local_record(inst.f.kappa, *means, delta, scale)
+    return Verdict("local", lhs, rhs, 0.0, verdict, inst.describe(),
+                   f"{tuple(counts)} delta={delta}")
 
 
 def verify_global(inst: InterpolationInstance, gamma: int,
                   mean_fn=None) -> Verdict:
     """F(dA/2, dB/2, 0) <= F((dA-g)/2, (dB-g)/2, g) + penalty(g), floors
-    throughout."""
+    throughout, decided by the sweep's global rule on one record."""
     da, db = inst.bp.degree_a(inst.sys), inst.bp.degree_b(inst.sys)
     if not 0 <= gamma <= min(da, db):
         raise ValueError("gamma must lie in 0..min(d(A), d(B))")
     mean_fn = mean_fn or (lambda c: class_mean(inst, c))
-    lhs = mean_fn(PairingCounts(da // 2, db // 2, 0))
-    rhs = (mean_fn(PairingCounts((da - gamma) // 2, (db - gamma) // 2, gamma))
-           + penalty(gamma, inst.f.kappa))
-    return _result("global", inst.describe(), f"gamma={gamma}", lhs, rhs)
+    means, scale = _common_denominator(
+        [mean_fn(PairingCounts(da // 2, db // 2, 0)),
+         mean_fn(PairingCounts((da - gamma) // 2, (db - gamma) // 2, gamma))])
+    lhs, rhs, verdict = _global_record(inst.f.kappa, *means, gamma, scale)
+    return Verdict("global", lhs, rhs, 0.0, verdict, inst.describe(),
+                   f"gamma={gamma}")
 
 
 def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact",
@@ -330,7 +374,8 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
     """
     sys = HalfEdgeSystem(degrees)
     degrees = sys.degrees
-    instance = InterpolationInstance(sys, bp, f).describe()
+    bp.check_covers(sys)
+    instance = _label(degrees, bp, f)
     sub_a = tuple(degrees[i - 1] for i in sorted(bp.a))
     sub_b = tuple(degrees[i - 1] for i in sorted(bp.b))
     pen = penalty(sys.total / 2, f.kappa)
@@ -395,7 +440,11 @@ def check_corridor_exit(gamma: int, delta: int, runs: int,
 
 
 def feasible_triples(sys: HalfEdgeSystem, bp: Bipartition) -> list:
-    da, db = bp.degree_a(sys), bp.degree_b(sys)
+    return _feasible_triples(bp.degree_a(sys), bp.degree_b(sys))
+
+
+def _feasible_triples(da: int, db: int) -> list:
+    """Every count triple feasible with side degrees (da, db), sorted."""
     out = []
     for alpha in range(da // 2 + 1):
         for beta in range(db // 2 + 1):
@@ -560,6 +609,38 @@ def bipartitions_of(n: int):
         yield Bipartition.of(n, a)
 
 
+def _pair_kinds(n: int) -> np.ndarray:
+    """Row ``mask``, column (i - 1) * n + (j - 1): whether the vertex pair
+    (i, j) lies inside A (0), inside B (1) or across (2) in the ``mask``-th
+    bipartition of :func:`bipartitions_of`."""
+    in_b = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
+    i, j = in_b[:, :, None], in_b[:, None, :]
+    return (2 * (i != j) + (i & j)).reshape(1 << n, n * n)
+
+
+def _sweep_layout(da: int, db: int) -> tuple:
+    """The records of an instance with side degrees (d(A), d(B)), shared by
+    every such instance, as indices into its sorted count triples: the
+    triples, a lookup [alpha, beta, gamma] -> position, the Lipschitz pairs
+    (i, j, dist), the local records (counts, delta, x, y, z) and the global
+    records (gamma, top, cross)."""
+    triples = [tuple(c) for c in _feasible_triples(da, db)]
+    index = {c: k for k, c in enumerate(triples)}
+    lut = np.zeros((da // 2 + 1, db // 2 + 1, min(da, db) + 1), dtype=np.intp)
+    for c, k in index.items():
+        lut[c] = k
+    local = []
+    for a, b, g in triples:
+        # every delta >= 2 with (a, b, g + delta) feasible
+        for delta in range(2, min(da - 2 * a, db - 2 * b) - g + 1):
+            local.append(((a, b, g), delta, index[a + 1, b, g],
+                          index[a, b + 1, g], index[a, b, g + 1]))
+    global_ = [(gamma, index[da // 2, db // 2, 0],
+                index[(da - gamma) // 2, (db - gamma) // 2, gamma])
+               for gamma in range(min(da, db) + 1)]
+    return triples, lut, _pair_distances(triples), local, global_
+
+
 @dataclass
 class SweepSummary:
     instances: int = 0
@@ -586,19 +667,36 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     bipartitions, and all feasible count inputs, for each parameter.  Each
     degree function's distinct multigraphs are enumerated once with their
     matching counts as weights and evaluated once per parameter; every
-    bipartition buckets them by pair-type counts, and each class mean is
-    their weighted mean.  The Lipschitz pairs of an instance are decided
-    together by :func:`_lipschitz_table`; a pair becomes a ``Verdict`` only
-    for ``on_record`` or when it fails.  ``min_slack`` is the smallest
-    slack over all checked inequalities.
+    bipartition buckets them by pair-type counts.  For a rational-valued
+    parameter each class mean is an integer numerator over one common
+    denominator, the product of the parameter's value denominator and the
+    lcm of the class weight totals; other parameters keep their weighted
+    means.  The records of an instance are decided together from these
+    means by :func:`_lipschitz_table`, :func:`_local_record` and
+    :func:`_global_record`, the rules of the single-record verifiers; each
+    main verdict is decided once per degree function and pair of sorted
+    side degrees.  A record becomes a ``Verdict`` only for ``on_record`` or
+    when it fails.  ``min_slack`` is the smallest slack over all checked
+    inequalities.
     """
     summary = SweepSummary()
     # indexed by position: distinct parameters may share a name
     sub_caches = [{} for _ in params]
+    layouts = {}
 
-    def emit(result: Verdict):
-        summary.checked[result.check] += 1
-        summary.min_slack = min(summary.min_slack, result.slack)
+    def fold(slack: float):
+        # a NaN slack never wins, as in min()
+        if slack < summary.min_slack:
+            summary.min_slack = slack
+
+    def tally(check: str, lhs: float, rhs: float, verdict: bool) -> bool:
+        """Count a record and fold its Verdict.slack; True when it must
+        become a Verdict."""
+        summary.checked[check] += 1
+        fold(rhs + 0.0 - lhs)
+        return on_record is not None or not verdict
+
+    def report(result: Verdict):
         if not result.verdict:
             summary.violations.append(result)
         if on_record is not None:
@@ -609,53 +707,100 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         weighted = enumerate_multigraphs(sys)
         weights = [w for _, w in weighted]
         values = [[param.evaluate(g) for g, _ in weighted] for param in params]
-        for bp in bipartitions_of(sys.n):
+        # each edge's vertex pair (i - 1) * n + (j - 1), and the first of
+        # three counters (inside A, inside B, across) of its graph
+        edge_pairs = np.array([(i - 1) * sys.n + j - 1 for g, _ in weighted
+                               for i, j in g.edges], dtype=np.intp)
+        slots = 3 * np.repeat(np.arange(len(weighted)),
+                              [g.num_edges for g, _ in weighted])
+        kinds = _pair_kinds(sys.n)
+        # the integers summed per class: the weights, then for each
+        # rational parameter weight times value over one denominator
+        rows, dens = [weights], []
+        for vals in values:
+            nums, den = _common_denominator(vals)
+            dens.append(den)
+            if den is not None:
+                rows.append([w * v for w, v in zip(weights, nums)])
+        # Python integers: no sum overflows
+        rows = np.array(rows, dtype=object)
+        mains = [{} for _ in params]
+        for mask, bp in enumerate(bipartitions_of(sys.n)):
             summary.instances += 1
-            buckets = {}
-            for k, (g, _) in enumerate(weighted):
-                buckets.setdefault(counts_of_graph(g, bp), []).append(k)
-            triples = sorted(buckets)
-            if "lipschitz" in checks:
-                i, j, dist = _pair_distances(triples)
-                ends = list(zip(i.tolist(), j.tolist()))
+            da, db = bp.degree_a(sys), bp.degree_b(sys)
+            if (da, db) not in layouts:
+                layouts[da, db] = _sweep_layout(da, db)
+            triples, lut, pairs, local, global_ = layouts[da, db]
+            # each graph's class: its edges inside A, inside B and across
+            counts = np.bincount(slots + kinds[mask, edge_pairs],
+                                 minlength=3 * len(weighted)).reshape(-1, 3)
+            cls = lut[counts[:, 0], counts[:, 1], counts[:, 2]]
+            sums = np.zeros((len(rows), len(triples)), dtype=object)
+            for total, row in zip(sums, rows):
+                np.add.at(total, cls, row)
+            totals, *sums = sums.tolist()
+            sums = iter(sums)
+            lcm = math.lcm(*totals)
+            members = None
+            # E f(A) + E f(B) is the same sum either way round
+            split = tuple(sorted(tuple(sorted(degrees[v - 1] for v in side))
+                                 for side in (bp.a, bp.b)))
             for p, param in enumerate(params):
-                inst = InterpolationInstance(sys, bp, param)
-                vals = values[p]
-                F = {c: _weighted_mean([vals[k] for k in idx],
-                                       [weights[k] for k in idx])
-                     for c, idx in buckets.items()}
-                mean_fn = F.__getitem__
+                kappa = param.kappa
+                scale = dens[p]
+                if scale is not None:
+                    means = [s * (lcm // total)
+                             for s, total in zip(next(sums), totals)]
+                    scale *= lcm
+                else:
+                    if members is None:
+                        members = [[] for _ in triples]
+                        for k, c in enumerate(cls.tolist()):
+                            members[c].append(k)
+                    means = [_weighted_mean([values[p][k] for k in idx],
+                                            [weights[k] for k in idx])
+                             for idx in members]
 
                 if "lipschitz" in checks:
-                    lhs, rhs, ok = _lipschitz_table(
-                        param.kappa, [F[c] for c in triples], i, j, dist)
-                    # Verdict.slack of each pair, whose allowance is 0.0;
-                    # fmin skips NaN as the fold in emit does
-                    slack = rhs + 0.0 - lhs
-                    summary.min_slack = min(summary.min_slack, float(
-                        np.fmin.reduce(slack, initial=math.inf)))
+                    lhs, rhs, ok = _lipschitz_table(kappa, means, scale,
+                                                    *pairs)
+                    # Verdict.slack of each pair; fmin skips NaN as fold does
+                    fold(float(np.fmin.reduce(rhs + 0.0 - lhs,
+                                              initial=math.inf)))
+                    summary.checked["lipschitz"] += len(ok)
                     shown = (range(len(ok)) if on_record is not None
                              else np.flatnonzero(~ok).tolist())
-                    summary.checked["lipschitz"] += len(ok) - len(shown)
-                    lhs, rhs, ok = lhs.tolist(), rhs.tolist(), ok.tolist()
+                    if shown:
+                        lhs, rhs, ok, first, second = (
+                            a.tolist() for a in (lhs, rhs, ok, *pairs[:2]))
                     for k in shown:
-                        a, b = ends[k]
-                        emit(_lipschitz_verdict(
-                            inst.describe(), triples[a], triples[b],
-                            lhs[k], rhs[k], ok[k]))
+                        report(_lipschitz_verdict(
+                            _label(degrees, bp, param), triples[first[k]],
+                            triples[second[k]], lhs[k], rhs[k], ok[k]))
                 if "local" in checks:
-                    for c in triples:
-                        delta = 2
-                        while PairingCounts(c.alpha, c.beta,
-                                            c.gamma + delta) in F:
-                            emit(verify_local_superadd(inst, c, delta,
-                                                       mean_fn))
-                            delta += 1
+                    for c, delta, x, y, z in local:
+                        lhs, rhs, ok = _local_record(kappa, means[x], means[y],
+                                                     means[z], delta, scale)
+                        if tally("local", lhs, rhs, ok):
+                            report(Verdict("local", lhs, rhs, 0.0, ok,
+                                           _label(degrees, bp, param),
+                                           f"{c} delta={delta}"))
                 if "global" in checks:
-                    da, db = bp.degree_a(sys), bp.degree_b(sys)
-                    for gamma in range(min(da, db) + 1):
-                        emit(verify_global(inst, gamma, mean_fn))
+                    for gamma, top, cross in global_:
+                        lhs, rhs, ok = _global_record(kappa, means[top],
+                                                      means[cross], gamma,
+                                                      scale)
+                        if tally("global", lhs, rhs, ok):
+                            report(Verdict("global", lhs, rhs, 0.0, ok,
+                                           _label(degrees, bp, param),
+                                           f"gamma={gamma}"))
                 if "main" in checks:
-                    emit(verify_main(param, degrees, bp, "exact",
-                                     _cache=sub_caches[p]))
+                    if split not in mains[p]:
+                        mains[p][split] = verify_main(
+                            param, degrees, bp, "exact", _cache=sub_caches[p])
+                    r = mains[p][split]
+                    if tally("main", r.lhs, r.rhs, r.verdict):
+                        report(Verdict("main", r.lhs, r.rhs, 0.0, r.verdict,
+                                       _label(degrees, bp, param),
+                                       "mode=exact"))
     return summary

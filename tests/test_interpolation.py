@@ -442,25 +442,59 @@ def test_run_sweep_detects_shrunk_penalty(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Lipschitz pair table against a scalar oracle
+# the sweep's record tables against a scalar oracle
+
+CHECKS = ("lipschitz", "local", "global", "main")
 
 
-def _oracle_records(params, max_total_degree, max_vertices):
-    """Every Lipschitz record of the sweep, in its order, from one
-    ``_result`` per pair over ``class_mean``."""
+def _oracle_records(params, max_total_degree, max_vertices, checks=CHECKS):
+    """Every record of the sweep, in its order, from one ``_result`` per
+    record over ``class_mean`` and ``expected_parameter``."""
     out = []
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
         for bp in bipartitions_of(sys.n):
             triples = sorted(feasible_triples(sys, bp))
+            da, db = bp.degree_a(sys), bp.degree_b(sys)
             for f in params:
                 inst = InterpolationInstance(sys, bp, f)
+                label = inst.describe()
                 mean = {c: class_mean(inst, c) for c in triples}
-                for c1, c2 in combinations(triples, 2):
-                    d = sum(abs(x - y) for x, y in zip(c1, c2))
+                if "lipschitz" in checks:
+                    for c1, c2 in combinations(triples, 2):
+                        d = sum(abs(x - y) for x, y in zip(c1, c2))
+                        out.append(_result(
+                            "lipschitz", label, f"{tuple(c1)}|{tuple(c2)}",
+                            abs(mean[c1] - mean[c2]), f.kappa * d))
+                if "local" in checks:
+                    for a, b, g in triples:
+                        delta = 2
+                        while (a, b, g + delta) in mean:
+                            slack = (Fraction(2 * int(f.kappa), delta)
+                                     if float(f.kappa).is_integer()
+                                     else 2.0 * f.kappa / delta)
+                            out.append(_result(
+                                "local", label, f"{(a, b, g)} delta={delta}",
+                                Fraction(1, 2) * (mean[a + 1, b, g]
+                                                  + mean[a, b + 1, g]),
+                                mean[a, b, g + 1] + slack))
+                            delta += 1
+                if "global" in checks:
+                    for gamma in range(min(da, db) + 1):
+                        out.append(_result(
+                            "global", label, f"gamma={gamma}",
+                            mean[da // 2, db // 2, 0],
+                            mean[(da - gamma) // 2, (db - gamma) // 2, gamma]
+                            + penalty(gamma, f.kappa)))
+                if "main" in checks:
+                    sub_a, sub_b = (tuple(degrees[v - 1] for v in sorted(side))
+                                    for side in (bp.a, bp.b))
                     out.append(_result(
-                        "lipschitz", inst.describe(), f"{tuple(c1)}|{tuple(c2)}",
-                        abs(mean[c1] - mean[c2]), f.kappa * d))
+                        "main", label, "mode=exact",
+                        expected_parameter(f, sub_a)
+                        + expected_parameter(f, sub_b),
+                        expected_parameter(f, degrees)
+                        + penalty(sys.total / 2, f.kappa)))
     return out
 
 
@@ -469,9 +503,9 @@ def _fields(records):
             for r in records]
 
 
-def _sweep_lipschitz(params, max_total_degree, max_vertices):
+def _sweep_records(params, max_total_degree, max_vertices, checks=CHECKS):
     records = []
-    run_sweep(params, max_total_degree, max_vertices, checks=("lipschitz",),
+    run_sweep(params, max_total_degree, max_vertices, checks=checks,
               on_record=records.append)
     return records
 
@@ -481,8 +515,12 @@ def _sweep_lipschitz(params, max_total_degree, max_vertices):
     ([ising_parameter(0.5), potts_parameter(3, 0.7)], 7),
 ], ids=["integer", "spin"])
 def test_lipschitz_records_match_the_scalar_oracle(params, max_total_degree):
-    got = _fields(_sweep_lipschitz(params, max_total_degree, 4))
-    assert got == _fields(_oracle_records(params, max_total_degree, 4))
+    # all four checks, not only the Lipschitz pairs: every record of the
+    # sweep equals the scalar oracle's, field for field and in order
+    got = _fields(_sweep_records(params, max_total_degree, 4))
+    want = _fields(_oracle_records(params, max_total_degree, 4))
+    assert {r[0] for r in got} == set(CHECKS)
+    assert got == want
 
 
 def test_lipschitz_violations_match_the_scalar_oracle():
@@ -490,11 +528,29 @@ def test_lipschitz_violations_match_the_scalar_oracle():
     # pairs fail, and the sweep must report exactly the oracle's failures
     tight = GraphParameter("independence", 0.01, independence_number)
     summary = run_sweep([tight], 6, 3, checks=("lipschitz",))
-    oracle = _oracle_records([tight], 6, 3)
+    oracle = _oracle_records([tight], 6, 3, ("lipschitz",))
     failed = [r for r in oracle if not r.verdict]
     assert failed
     assert _fields(summary.violations) == _fields(failed)
     assert summary.checked["lipschitz"] == len(oracle)
+
+
+@pytest.mark.parametrize("check, penalty_factor, max_total_degree, "
+                         "max_vertices", [
+    ("local", 7.0, 7, 4),  # kappa = 0.01: the local slack 2 kappa / delta
+    ("global", 0.01, 6, 3),  # a shrunk penalty
+], ids=["local", "global"])
+def test_violations_match_the_scalar_oracle(monkeypatch, check, penalty_factor,
+                                            max_total_degree, max_vertices):
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", penalty_factor)
+    tight = GraphParameter("independence", 0.01, independence_number)
+    summary = run_sweep([tight], max_total_degree, max_vertices,
+                        checks=(check,))
+    oracle = _oracle_records([tight], max_total_degree, max_vertices, (check,))
+    failed = [r for r in oracle if not r.verdict]
+    assert failed
+    assert _fields(summary.violations) == _fields(failed)
+    assert summary.checked[check] == len(oracle)
 
 
 @pytest.mark.parametrize("kappa, above, rounds_onto_bound", [
@@ -509,7 +565,8 @@ def test_lipschitz_table_at_the_float_bound(kappa, above, rounds_onto_bound):
     triples = [PairingCounts(0, 0, 0), PairingCounts(1, 0, 0),
                PairingCounts(0, 1, 0)]
     lhs, rhs, ok = interpolation._lipschitz_table(
-        kappa, [Fraction(0), at, above], *interpolation._pair_distances(triples))
+        kappa, *interpolation._common_denominator([Fraction(0), at, above]),
+        *interpolation._pair_distances(triples))
     assert ok.tolist() == [True, False, True]
     assert lhs.tolist() == [float(at), float(above), float(above - at)]
     assert rhs.tolist() == [kappa, kappa, 2 * kappa]
@@ -522,6 +579,55 @@ def test_lipschitz_table_at_the_float_bound(kappa, above, rounds_onto_bound):
     assert not verify_lipschitz(inst, triples[2], triples[0], means.get).verdict
 
 
+STEPS = ["rounds-onto-bound", "one-ulp-above"]
+
+
+def _at_and_above(bound: float, step: str) -> tuple:
+    """The float ``bound`` as a Fraction, and a Fraction above it by 1e-40,
+    which rounds back onto the bound, or by one ulp, which does not."""
+    at = Fraction(bound)
+    above = at + (Fraction(1, 10 ** 40) if step == "rounds-onto-bound"
+                  else Fraction(math.ulp(bound)))
+    assert (float(above) == bound) == (step == "rounds-onto-bound")
+    return at, above
+
+
+@pytest.mark.parametrize("kappa", [1 / 3, 1.0], ids=["float-bound",
+                                                     "rational-bound"])
+@pytest.mark.parametrize("step", STEPS)
+def test_local_record_at_the_float_bound(kappa, step):
+    # delta = 2 on (2, 2) with F(0,0,1) = 1/7: the bound is
+    # float(1/7 + kappa) + 1e-9, kept rational until then when kappa is an
+    # integer, and float(1/7) + kappa + 1e-9 otherwise
+    z = Fraction(1, 7)
+    slack = Fraction(1) if kappa == 1.0 else 2.0 * kappa / 2
+    at, above = _at_and_above(float(z + slack) + 1e-9, step)
+    inst = InterpolationInstance(SYS22, BP22,
+                                 GraphParameter("t", kappa, independence_number))
+    for lhs, passes in ((at, True), (above, False)):
+        means = {PairingCounts(1, 0, 0): 2 * lhs, PairingCounts(0, 1, 0): 0,
+                 PairingCounts(0, 0, 1): z}
+        r = verify_local_superadd(inst, PairingCounts(0, 0, 0), 2, means.get)
+        oracle = _result("local", "", "", lhs, z + slack)
+        assert r.verdict is oracle.verdict is passes
+        assert (r.lhs, r.rhs) == (oracle.lhs, oracle.rhs)
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_global_record_at_the_float_bound(step):
+    # gamma = 1 on (2, 2): the bound is float(F(0,0,1)) + penalty(1) + 1e-9
+    kappa, cross = 1 / 3, Fraction(2, 7)
+    at, above = _at_and_above(float(cross) + penalty(1, kappa) + 1e-9, step)
+    inst = InterpolationInstance(SYS22, BP22,
+                                 GraphParameter("t", kappa, independence_number))
+    for top, passes in ((at, True), (above, False)):
+        means = {PairingCounts(1, 1, 0): top, PairingCounts(0, 0, 1): cross}
+        r = verify_global(inst, 1, means.get)
+        oracle = _result("global", "", "", top, cross + penalty(1, kappa))
+        assert r.verdict is oracle.verdict is passes
+        assert (r.lhs, r.rhs) == (oracle.lhs, oracle.rhs)
+
+
 def test_lipschitz_table_keeps_rational_pairs_exact_beside_floats():
     # the first pair is 1e-40 above its float bound; a float mean in the
     # same table must not turn that pair into a float comparison
@@ -530,7 +636,8 @@ def test_lipschitz_table_keeps_rational_pairs_exact_beside_floats():
                PairingCounts(0, 1, 0)]
     means = [Fraction(0), Fraction(kappa + 1e-9) + Fraction(1, 10 ** 40), 0.25]
     i, j, dist = interpolation._pair_distances(triples)
-    lhs, rhs, ok = interpolation._lipschitz_table(kappa, means, i, j, dist)
+    lhs, rhs, ok = interpolation._lipschitz_table(
+        kappa, *interpolation._common_denominator(means), i, j, dist)
     oracle = [_result("lipschitz", "", "", abs(means[a] - means[b]), kappa * d)
               for a, b, d in zip(i, j, dist)]
     assert ok.tolist() == [r.verdict for r in oracle] == [False, True, True]
@@ -541,34 +648,52 @@ def test_lipschitz_table_keeps_rational_pairs_exact_beside_floats():
 def test_lipschitz_table_beyond_int64():
     # class means with denominator 3**41 > 2**63: each edge is worth a hair
     # more than 1 + 1e-9, so every pair whose distance equals its edge-count
-    # difference fails by 3**-41, and the others pass
+    # difference fails by 3**-41, and the others pass; the other checks'
+    # records, over the same denominators, match the oracle too
     assert 3 ** 41 > 2 ** 63
     step = Fraction(1 + 1e-9) + Fraction(1, 3 ** 41)
     param = GraphParameter("edges", 1.0, lambda g: step * g.num_edges)
-    records = _sweep_lipschitz([param], 4, 3)
+    records = _sweep_records([param], 4, 3)
     assert _fields(records) == _fields(_oracle_records([param], 4, 3))
-    assert {r.verdict for r in records} == {True, False}
+    assert {r.verdict for r in records if r.check == "lipschitz"} == {True,
+                                                                     False}
 
 
 def test_run_sweep_builds_verdicts_only_for_records_and_failures(monkeypatch):
-    built = []
+    # besides the records asked for and the failures, only verify_main
+    # builds a Verdict: once per degree function and pair of sorted side
+    # degrees, not once per bipartition
+    built, mains = [], []
 
     def counting(*args, **kwargs):
         built.append(args[0])
         return Verdict(*args, **kwargs)
 
+    def counting_main(*args, **kwargs):
+        mains.append(args)
+        return verify_main(*args, **kwargs)
+
     monkeypatch.setattr(interpolation, "Verdict", counting)
-    summary = run_sweep([INDEPENDENCE], 6, 3, checks=("lipschitz",))
-    assert summary.all_hold and summary.checked["lipschitz"] > 0
-    assert built == []
+    monkeypatch.setattr(interpolation, "verify_main", counting_main)
+
+    def run(params, **kwargs):
+        built.clear()
+        mains.clear()
+        summary = run_sweep(params, 7, 4, **kwargs)
+        return summary, Counter(built) - Counter(main=len(mains))
+
+    summary, extra = run([INDEPENDENCE])
+    assert summary.all_hold and min(summary.checked.values()) > 0
+    assert extra == Counter()
+    assert 0 < len(mains) < summary.checked["main"]
     records = []
-    run_sweep([INDEPENDENCE], 6, 3, checks=("lipschitz",),
-              on_record=records.append)
-    assert len(built) == len(records) == summary.checked["lipschitz"]
-    built.clear()
+    summary, extra = run([INDEPENDENCE], on_record=records.append)
+    assert extra == Counter(r.check for r in records) == summary.checked
     tight = GraphParameter("independence", 0.01, independence_number)
-    summary = run_sweep([tight], 6, 3, checks=("lipschitz",))
-    assert len(built) == len(summary.violations) > 0
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
+    summary, extra = run([tight])
+    assert extra == Counter(r.check for r in summary.violations)
+    assert set(extra) == set(CHECKS)
 
 
 def test_run_sweep_min_slack_is_the_least_record_slack():
@@ -607,6 +732,7 @@ def test_unit_steps_imply_every_lipschitz_pair(case):
     # triples, so in exact arithmetic the unit-step checks imply all pairs
     kappa, triples, means = case
     i, j, dist = interpolation._pair_distances(triples)
-    _, _, ok = interpolation._lipschitz_table(kappa, means, i, j, dist)
+    _, _, ok = interpolation._lipschitz_table(
+        kappa, *interpolation._common_denominator(means), i, j, dist)
     if ok[dist == 1].all():
         assert ok.all()
