@@ -142,38 +142,25 @@ class PairingCounts(NamedTuple):
                 and 2 * self.beta + self.gamma <= bp.degree_b(sys))
 
 
-def pair_type(pair, bp: Bipartition) -> str:
-    """'A', 'B', or 'X' according to the endpoints' sides."""
-    (i, _), (j, _) = pair
-    si, sj = bp.side_of(i), bp.side_of(j)
-    if si == sj:
-        return si
-    return "X"
-
-
-def counts_of_matching(m: Matching, bp: Bipartition) -> PairingCounts:
-    alpha = beta = gamma = 0
-    for p in m.pairs:
-        t = pair_type(p, bp)
-        if t == "A":
-            alpha += 1
-        elif t == "B":
-            beta += 1
-        else:
-            gamma += 1
-    return PairingCounts(alpha, beta, gamma)
-
-
-def counts_of_graph(g: Multigraph, bp: Bipartition) -> PairingCounts:
-    """Pair-type counts shared by every matching that induces ``g``."""
+def _pair_counts(pairs, bp: Bipartition) -> PairingCounts:
+    """Pair-type counts of a sequence of vertex pairs (i, j)."""
     a = bp.a
     alpha = beta = 0
-    for i, j in g.edges:
+    for i, j in pairs:
         if i in a:
             alpha += j in a
         else:
             beta += j not in a
-    return PairingCounts(alpha, beta, len(g.edges) - alpha - beta)
+    return PairingCounts(alpha, beta, len(pairs) - alpha - beta)
+
+
+def counts_of_matching(m: Matching, bp: Bipartition) -> PairingCounts:
+    return _pair_counts([(i, j) for (i, _), (j, _) in m.pairs], bp)
+
+
+def counts_of_graph(g: Multigraph, bp: Bipartition) -> PairingCounts:
+    """Pair-type counts shared by every matching that induces ``g``."""
+    return _pair_counts(g.edges, bp)
 
 
 def graph_of_matching(sys: HalfEdgeSystem, m: Matching) -> Multigraph:

@@ -113,10 +113,6 @@ class Multigraph:
         shifted = tuple((i + self.n, j + self.n) for i, j in other.edges)
         return Multigraph(self.n + other.n, self.edges + shifted)
 
-    def relabeled(self, perm) -> "Multigraph":
-        """Apply a permutation given as a sequence: vertex i -> perm[i-1]."""
-        return Multigraph(self.n, tuple((perm[i - 1], perm[j - 1]) for i, j in self.edges))
-
     def to_text(self) -> str:
         lines = [f"{self.n} {self.num_edges}"]
         lines.extend(f"{i} {j}" for i, j in self.edges)

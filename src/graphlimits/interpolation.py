@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 from numbers import Rational
 
@@ -251,25 +251,19 @@ def class_mean_mc(inst: InterpolationInstance, counts: PairingCounts, reps: int,
                                  rng, workers))
 
 
-def expected_parameter(f: GraphParameter, degrees, _cache: dict | None = None):
+def expected_parameter(f: GraphParameter, degrees):
     """Exact expectation of f on the prescribed-degree random graph.
 
     Averages over the multigraphs of the maximal matchings of the half-edge
     system, each weighted by its number of maximal matchings.  Values are
-    computed on the ascending relabeling of the degrees and cached by it:
-    the degree multiset determines the exact mean, but a float-valued
-    parameter averaged under another labeling can differ in the last bit.
+    computed on the ascending relabeling of the degrees: the degree
+    multiset determines the exact mean, but a float-valued parameter
+    averaged under another labeling can differ in the last bit.
     """
-    key = tuple(sorted(as_degrees(degrees)))
-    if _cache is not None and key in _cache:
-        return _cache[key]
-    sys = HalfEdgeSystem(key)
+    sys = HalfEdgeSystem(sorted(as_degrees(degrees)))
     weighted = enumerate_multigraphs(sys, sys.total // 2)
-    out = _weighted_mean([f.evaluate(g) for g, _ in weighted],
-                         [w for _, w in weighted])
-    if _cache is not None:
-        _cache[key] = out
-    return out
+    return _weighted_mean([f.evaluate(g) for g, _ in weighted],
+                          [w for _, w in weighted])
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +359,7 @@ def verify_global(inst: InterpolationInstance, gamma: int,
 
 def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact",
                 rng: np.random.Generator | None = None, reps: int = 2000,
-                workers: int = 1, _cache: dict | None = None) -> Verdict:
+                workers: int = 1) -> Verdict:
     """E f(sub A) + E f(sub B) <= E f(whole) + penalty(total degree / 2).
 
     Exact mode enumerates maximal matchings (small systems); mc mode
@@ -381,9 +375,8 @@ def verify_main(f: GraphParameter, degrees, bp: Bipartition, mode: str = "exact"
     pen = penalty(sys.total / 2, f.kappa)
 
     if mode == "exact":
-        lhs = (expected_parameter(f, sub_a, _cache)
-               + expected_parameter(f, sub_b, _cache))
-        rhs = expected_parameter(f, degrees, _cache) + pen
+        lhs = expected_parameter(f, sub_a) + expected_parameter(f, sub_b)
+        rhs = expected_parameter(f, degrees) + pen
         return _result("main", instance, "mode=exact", lhs, rhs)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
@@ -641,11 +634,13 @@ def _sweep_layout(da: int, db: int) -> tuple:
     return triples, lut, _pair_distances(triples), local, global_
 
 
+CHECKS = ("lipschitz", "local", "global", "main")
+
+
 @dataclass
 class SweepSummary:
     instances: int = 0
-    checked: dict = field(default_factory=lambda: dict.fromkeys(
-        ("lipschitz", "local", "global", "main"), 0))
+    checked: dict = field(default_factory=lambda: dict.fromkeys(CHECKS, 0))
     violations: list = field(default_factory=list)
     min_slack: float = math.inf
 
@@ -659,8 +654,7 @@ class SweepSummary:
 
 
 def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
-              checks=("lipschitz", "local", "global", "main"),
-              on_record=None) -> SweepSummary:
+              checks=CHECKS, on_record=None) -> SweepSummary:
     """Verify every inequality on every small instance with exact means.
 
     Runs over all degree functions (one per relabeling class), all ordered
@@ -673,15 +667,19 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     lcm of the class weight totals; other parameters keep their weighted
     means.  The records of an instance are decided together from these
     means by :func:`_lipschitz_table`, :func:`_local_record` and
-    :func:`_global_record`, the rules of the single-record verifiers; each
-    main verdict is decided once per degree function and pair of sorted
-    side degrees.  A record becomes a ``Verdict`` only for ``on_record`` or
-    when it fails.  ``min_slack`` is the smallest slack over all checked
-    inequalities.
+    :func:`_global_record`, the rules of the single-record verifiers; main
+    records use :func:`verify_main`'s rule on expectations computed once
+    per run and sorted degree multiset.  A record becomes a ``Verdict``
+    only for ``on_record`` or when it fails.  ``min_slack`` is the smallest
+    slack over all checked inequalities.  Unknown ``checks`` raise
+    ``ValueError``.
     """
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; choose from {CHECKS}")
     summary = SweepSummary()
     # indexed by position: distinct parameters may share a name
-    sub_caches = [{} for _ in params]
+    expected = [cache(partial(expected_parameter, param)) for param in params]
     layouts = {}
 
     def fold(slack: float):
@@ -724,7 +722,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 rows.append([w * v for w, v in zip(weights, nums)])
         # Python integers: no sum overflows
         rows = np.array(rows, dtype=object)
-        mains = [{} for _ in params]
+        whole = tuple(sorted(degrees))
         for mask, bp in enumerate(bipartitions_of(sys.n)):
             summary.instances += 1
             da, db = bp.degree_a(sys), bp.degree_b(sys)
@@ -742,9 +740,8 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             sums = iter(sums)
             lcm = math.lcm(*totals)
             members = None
-            # E f(A) + E f(B) is the same sum either way round
-            split = tuple(sorted(tuple(sorted(degrees[v - 1] for v in side))
-                                 for side in (bp.a, bp.b)))
+            sides = [tuple(sorted(degrees[v - 1] for v in side))
+                     for side in (bp.a, bp.b)]
             for p, param in enumerate(params):
                 kappa = param.kappa
                 scale = dens[p]
@@ -795,12 +792,11 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                                            _label(degrees, bp, param),
                                            f"gamma={gamma}"))
                 if "main" in checks:
-                    if split not in mains[p]:
-                        mains[p][split] = verify_main(
-                            param, degrees, bp, "exact", _cache=sub_caches[p])
-                    r = mains[p][split]
-                    if tally("main", r.lhs, r.rhs, r.verdict):
-                        report(Verdict("main", r.lhs, r.rhs, 0.0, r.verdict,
+                    lhs, rhs, ok = _decide(
+                        expected[p](sides[0]) + expected[p](sides[1]),
+                        expected[p](whole) + penalty(sys.total / 2, kappa))
+                    if tally("main", lhs, rhs, ok):
+                        report(Verdict("main", lhs, rhs, 0.0, ok,
                                        _label(degrees, bp, param),
                                        "mode=exact"))
     return summary

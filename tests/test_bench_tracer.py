@@ -6,7 +6,13 @@ from pathlib import Path
 
 import numpy as np
 
-from graphlimits import INDEPENDENCE, DegreeDistribution, interpolation, limits
+from graphlimits import (
+    INDEPENDENCE,
+    Bipartition,
+    DegreeDistribution,
+    interpolation,
+    limits,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -27,6 +33,8 @@ def test_tracer_sees_every_layer_of_psi_and_sweep():
                             [50], 3, np.random.default_rng(0), "iid")
         interpolation.run_sweep([INDEPENDENCE], max_total_degree=2,
                                 max_vertices=2)
+        # the sweep decides its records without the single-record verifiers
+        interpolation.verify_main(INDEPENDENCE, (2, 2), Bipartition.of(2, [1]))
     finally:
         tracer.unpatch()
     calls = {name: count for (_, name), count in tracer.calls.items()}

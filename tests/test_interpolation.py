@@ -432,6 +432,14 @@ def test_run_sweep_keeps_same_named_parameters_apart():
             == records([INDEPENDENCE]) + records([impostor]))
 
 
+def test_run_sweep_rejects_unknown_checks():
+    # a misspelt check would otherwise verify nothing and report all_hold
+    with pytest.raises(ValueError, match="lipshitz"):
+        run_sweep([INDEPENDENCE], 4, 2, checks=("lipshitz",))
+    with pytest.raises(ValueError, match="nope"):
+        run_sweep([INDEPENDENCE], 4, 2, checks=("main", "nope"))
+
+
 def test_run_sweep_detects_shrunk_penalty(monkeypatch):
     # with the penalty factor collapsed, the fixed-split bound must fail
     # somewhere (two isolated vertices beat one edge by more than nothing)
@@ -539,7 +547,8 @@ def test_lipschitz_violations_match_the_scalar_oracle():
                          "max_vertices", [
     ("local", 7.0, 7, 4),  # kappa = 0.01: the local slack 2 kappa / delta
     ("global", 0.01, 6, 3),  # a shrunk penalty
-], ids=["local", "global"])
+    ("main", 0.01, 6, 3),
+], ids=["local", "global", "main"])
 def test_violations_match_the_scalar_oracle(monkeypatch, check, penalty_factor,
                                             max_total_degree, max_vertices):
     monkeypatch.setattr(interpolation, "PENALTY_FACTOR", penalty_factor)
@@ -660,32 +669,30 @@ def test_lipschitz_table_beyond_int64():
 
 
 def test_run_sweep_builds_verdicts_only_for_records_and_failures(monkeypatch):
-    # besides the records asked for and the failures, only verify_main
-    # builds a Verdict: once per degree function and pair of sorted side
-    # degrees, not once per bipartition
-    built, mains = [], []
+    # a Verdict is built for each record asked for and each failure, and
+    # for nothing else; no single-record verifier is called
+    built = []
 
     def counting(*args, **kwargs):
         built.append(args[0])
         return Verdict(*args, **kwargs)
 
-    def counting_main(*args, **kwargs):
-        mains.append(args)
-        return verify_main(*args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep called a single-record verifier")
 
     monkeypatch.setattr(interpolation, "Verdict", counting)
-    monkeypatch.setattr(interpolation, "verify_main", counting_main)
+    for name in ("verify_lipschitz", "verify_local_superadd", "verify_global",
+                 "verify_main"):
+        monkeypatch.setattr(interpolation, name, refuse)
 
     def run(params, **kwargs):
         built.clear()
-        mains.clear()
         summary = run_sweep(params, 7, 4, **kwargs)
-        return summary, Counter(built) - Counter(main=len(mains))
+        return summary, Counter(built)
 
     summary, extra = run([INDEPENDENCE])
     assert summary.all_hold and min(summary.checked.values()) > 0
     assert extra == Counter()
-    assert 0 < len(mains) < summary.checked["main"]
     records = []
     summary, extra = run([INDEPENDENCE], on_record=records.append)
     assert extra == Counter(r.check for r in records) == summary.checked
