@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from numbers import Rational
 
 import numpy as np
@@ -179,12 +179,6 @@ def _lipschitz_table(kappa, values, scale, i, j, dist) -> tuple:
     return lhs, np.array(rhs, dtype=float)[dist], verdict
 
 
-def _lipschitz_verdict(instance: str, c1, c2, lhs: float, rhs: float,
-                       verdict: bool) -> Verdict:
-    return Verdict("lipschitz", lhs, rhs, 0.0, verdict, instance,
-                   f"{tuple(c1)}|{tuple(c2)}")
-
-
 def _local_record(kappa, x, y, z, delta: int, scale) -> tuple:
     """(lhs, rhs, verdict) of (F_x + F_y) / 2 <= F_z + 2 * kappa / delta for
     means over ``scale``.  An integer kappa keeps the bound rational."""
@@ -316,7 +310,8 @@ def verify_lipschitz(inst: InterpolationInstance, c1: PairingCounts,
                              *_common_denominator([mean_fn(c1), mean_fn(c2)]),
                              *_pair_distances([c1, c2]))
     (lhs,), (rhs,), (verdict,) = (a.tolist() for a in table)
-    return _lipschitz_verdict(inst.describe(), c1, c2, lhs, rhs, verdict)
+    return Verdict("lipschitz", lhs, rhs, 0.0, verdict, inst.describe(),
+                   f"{tuple(c1)}|{tuple(c2)}")
 
 
 def verify_local_superadd(inst: InterpolationInstance, counts: PairingCounts,
@@ -615,8 +610,8 @@ def _sweep_layout(da: int, db: int) -> tuple:
     """The records of an instance with side degrees (d(A), d(B)), shared by
     every such instance, as indices into its sorted count triples: the
     triples, a lookup [alpha, beta, gamma] -> position, the Lipschitz pairs
-    (i, j, dist), the local records (counts, delta, x, y, z) and the global
-    records (gamma, top, cross)."""
+    (i, j, dist), the local records (counts field, delta, x, y, z) and the
+    global records (counts field, gamma, top, cross)."""
     triples = [tuple(c) for c in _feasible_triples(da, db)]
     index = {c: k for k, c in enumerate(triples)}
     lut = np.zeros((da // 2 + 1, db // 2 + 1, min(da, db) + 1), dtype=np.intp)
@@ -626,12 +621,55 @@ def _sweep_layout(da: int, db: int) -> tuple:
     for a, b, g in triples:
         # every delta >= 2 with (a, b, g + delta) feasible
         for delta in range(2, min(da - 2 * a, db - 2 * b) - g + 1):
-            local.append(((a, b, g), delta, index[a + 1, b, g],
-                          index[a, b + 1, g], index[a, b, g + 1]))
-    global_ = [(gamma, index[da // 2, db // 2, 0],
+            local.append((f"{(a, b, g)} delta={delta}", delta,
+                          index[a + 1, b, g], index[a, b + 1, g],
+                          index[a, b, g + 1]))
+    global_ = [(f"gamma={gamma}", gamma, index[da // 2, db // 2, 0],
                 index[(da - gamma) // 2, (db - gamma) // 2, gamma])
                for gamma in range(min(da, db) + 1)]
     return triples, lut, _pair_distances(triples), local, global_
+
+
+def _checked(check: str, records: list, everything: bool) -> tuple:
+    """(check, count, least slack, shown) of one check's records, each
+    (counts field, lhs, rhs, verdict): shown holds every record when
+    ``everything``, else the failures."""
+    slacks = [rhs + 0.0 - lhs for _, lhs, rhs, _ in records]
+    # a NaN slack never wins, as in SweepSummary's fold
+    least = min((s for s in slacks if s == s), default=math.inf)
+    return (check, len(records), least,
+            records if everything else [r for r in records if not r[3]])
+
+
+def _instance_records(kappa, means, scale, layout, checks,
+                      everything: bool) -> list:
+    """The Lipschitz, local and global records of one (instance, parameter)
+    from its class ``means`` over ``scale``, one :func:`_checked` tuple per
+    check asked for."""
+    triples, _, pairs, local, global_ = layout
+    out = []
+    if "lipschitz" in checks:
+        lhs, rhs, ok = _lipschitz_table(kappa, means, scale, *pairs)
+        # Verdict.slack of each pair; fmin skips NaN as the fold does
+        least = float(np.fmin.reduce(rhs + 0.0 - lhs, initial=math.inf))
+        shown = (range(len(ok)) if everything
+                 else np.flatnonzero(~ok).tolist())
+        if shown:
+            lhs, rhs, ok, first, second = (
+                a.tolist() for a in (lhs, rhs, ok, *pairs[:2]))
+        out.append(("lipschitz", len(ok), least,
+                    [(f"{triples[first[k]]}|{triples[second[k]]}", lhs[k],
+                      rhs[k], ok[k]) for k in shown]))
+    if "local" in checks:
+        out.append(_checked("local", [
+            (c, *_local_record(kappa, means[x], means[y], means[z], delta,
+                               scale))
+            for c, delta, x, y, z in local], everything))
+    if "global" in checks:
+        out.append(_checked("global", [
+            (c, *_global_record(kappa, means[top], means[cross], gamma, scale))
+            for c, gamma, top, cross in global_], everything))
+    return out
 
 
 CHECKS = ("lipschitz", "local", "global", "main")
@@ -667,19 +705,48 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     lcm of the class weight totals; other parameters keep their weighted
     means.  The records of an instance are decided together from these
     means by :func:`_lipschitz_table`, :func:`_local_record` and
-    :func:`_global_record`, the rules of the single-record verifiers; main
-    records use :func:`verify_main`'s rule on expectations computed once
-    per run and sorted degree multiset.  A record becomes a ``Verdict``
-    only for ``on_record`` or when it fails.  ``min_slack`` is the smallest
-    slack over all checked inequalities.  Unknown ``checks`` raise
+    :func:`_global_record`, the rules of the single-record verifiers.
+
+    Main records follow :func:`verify_main`'s rule, E f(sorted A) +
+    E f(sorted B) against E f(sorted whole) + penalty.  For a rational
+    parameter E f of each degree function is the same weighted sum over its
+    maximal multigraphs, kept per run and sorted degree multiset; every
+    non-empty side is a degree function swept before, or the whole one.
+    All 2^n main records of a degree function are then decided at once over
+    one common denominator.  The empty side, and any mean that is not
+    rational, come from :func:`expected_parameter` on the ascending
+    relabeling, once per run and sorted degree multiset.
+
+    Two bipartitions with the same multiset of (degree, side) pairs differ
+    by a degree-preserving relabeling, so their class sums are equal.  When
+    every parameter is rational on the degree function, the records of the
+    first such bipartition are decided and replayed for the others under
+    their own labels; float means can differ in the last bit between them,
+    so otherwise each bipartition is decided on its own.
+
+    A record becomes a ``Verdict`` only for ``on_record`` or when it fails.
+    ``min_slack`` is the smallest slack over all checked inequalities.
+    Unknown ``checks``, and inputs that leave nothing to check (no checks,
+    no parameters, ``max_total_degree < 0`` or ``max_vertices < 1``), raise
     ``ValueError``.
     """
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; choose from {CHECKS}")
+    for name, value, vacuous in (
+            ("checks", checks, not checks),
+            ("params", params, not params),
+            ("max_total_degree", max_total_degree, max_total_degree < 0),
+            ("max_vertices", max_vertices, max_vertices < 1)):
+        if vacuous:
+            raise ValueError(f"{name}={value} leaves the sweep nothing to check")
     summary = SweepSummary()
+    everything = on_record is not None
     # indexed by position: distinct parameters may share a name
     expected = [cache(partial(expected_parameter, param)) for param in params]
+    # per parameter: sorted degrees -> exact E f, for each degree function
+    # swept so far on which the parameter is rational
+    maximal = [{} for _ in params]
     layouts = {}
 
     def fold(slack: float):
@@ -687,18 +754,25 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         if slack < summary.min_slack:
             summary.min_slack = slack
 
-    def tally(check: str, lhs: float, rhs: float, verdict: bool) -> bool:
-        """Count a record and fold its Verdict.slack; True when it must
-        become a Verdict."""
-        summary.checked[check] += 1
-        fold(rhs + 0.0 - lhs)
-        return on_record is not None or not verdict
-
-    def report(result: Verdict):
-        if not result.verdict:
-            summary.violations.append(result)
-        if on_record is not None:
-            on_record(result)
+    def main_records(p: int, whole: tuple, sides: list, pen: float) -> list:
+        """The main record of each split (A, B) in ``sides``, as a list
+        holding its :func:`_checked` tuple."""
+        keys = list(dict.fromkeys((whole, *chain.from_iterable(sides))))
+        means = [maximal[p].get(k) if k else expected[p](k) for k in keys]
+        if all(isinstance(m, Rational) for m in means):
+            values, scale = _common_denominator(means)
+            value = dict(zip(keys, values))
+            # _decide's float rhs and bound, met by an integer threshold
+            rhs = value[whole] / scale + pen
+            bound = _threshold(rhs + DEFAULT_TOL, scale)
+            split = [(s / scale, rhs, s <= bound)
+                     for s in (value[a] + value[b] for a, b in sides)]
+        else:
+            rhs = expected[p](whole) + pen
+            split = [_decide(expected[p](a) + expected[p](b), rhs)
+                     for a, b in sides]
+        return [[_checked("main", [("mode=exact", *r)], everything)]
+                for r in split]
 
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
@@ -722,81 +796,73 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 rows.append([w * v for w, v in zip(weights, nums)])
         # Python integers: no sum overflows
         rows = np.array(rows, dtype=object)
+        rational = [p for p, den in enumerate(dens) if den is not None]
         whole = tuple(sorted(degrees))
-        for mask, bp in enumerate(bipartitions_of(sys.n)):
+        top = rows[:, [g.num_edges == sys.total // 2 for g, _ in weighted]]
+        top = top.sum(axis=1).tolist()
+        for p, s in zip(rational, top[1:]):
+            maximal[p][whole] = Fraction(s, dens[p] * top[0])
+        bps = list(bipartitions_of(sys.n))
+        sides = [tuple(tuple(sorted(degrees[v - 1] for v in side))
+                       for side in (bp.a, bp.b)) for bp in bps]
+        mains = [main_records(p, whole, sides,
+                              penalty(sys.total / 2, param.kappa))
+                 if "main" in checks else [[]] * len(bps)
+                 for p, param in enumerate(params)]
+        # bipartitions with equal side-A degrees are isomorphic; with every
+        # value rational they share their records (key None: no sharing)
+        reuse = len(rational) == len(params)
+        decided = {}
+        for mask, bp in enumerate(bps):
             summary.instances += 1
-            da, db = bp.degree_a(sys), bp.degree_b(sys)
-            if (da, db) not in layouts:
-                layouts[da, db] = _sweep_layout(da, db)
-            triples, lut, pairs, local, global_ = layouts[da, db]
-            # each graph's class: its edges inside A, inside B and across
-            counts = np.bincount(slots + kinds[mask, edge_pairs],
-                                 minlength=3 * len(weighted)).reshape(-1, 3)
-            cls = lut[counts[:, 0], counts[:, 1], counts[:, 2]]
-            sums = np.zeros((len(rows), len(triples)), dtype=object)
-            for total, row in zip(sums, rows):
-                np.add.at(total, cls, row)
-            totals, *sums = sums.tolist()
-            sums = iter(sums)
-            lcm = math.lcm(*totals)
-            members = None
-            sides = [tuple(sorted(degrees[v - 1] for v in side))
-                     for side in (bp.a, bp.b)]
+            key = sides[mask][0] if reuse else None
+            if key is None or key not in decided:
+                da, db = bp.degree_a(sys), bp.degree_b(sys)
+                if (da, db) not in layouts:
+                    layouts[da, db] = _sweep_layout(da, db)
+                layout = layouts[da, db]
+                triples, lut = layout[:2]
+                # each graph's class: its edges inside A, inside B, across
+                counts = np.bincount(slots + kinds[mask, edge_pairs],
+                                     minlength=3 * len(weighted)).reshape(-1, 3)
+                cls = lut[counts[:, 0], counts[:, 1], counts[:, 2]]
+                sums = np.zeros((len(rows), len(triples)), dtype=object)
+                for total, row in zip(sums, rows):
+                    np.add.at(total, cls, row)
+                totals, *sums = sums.tolist()
+                sums = iter(sums)
+                lcm = math.lcm(*totals)
+                members = None
+                records = []
+                for p, param in enumerate(params):
+                    scale = dens[p]
+                    if scale is not None:
+                        means = [s * (lcm // total)
+                                 for s, total in zip(next(sums), totals)]
+                        scale *= lcm
+                    else:
+                        if members is None:
+                            members = [[] for _ in triples]
+                            for k, c in enumerate(cls.tolist()):
+                                members[c].append(k)
+                        means = [_weighted_mean([values[p][k] for k in idx],
+                                                [weights[k] for k in idx])
+                                 for idx in members]
+                    records.append(_instance_records(
+                        param.kappa, means, scale, layout, checks, everything))
+                decided[key] = records
             for p, param in enumerate(params):
-                kappa = param.kappa
-                scale = dens[p]
-                if scale is not None:
-                    means = [s * (lcm // total)
-                             for s, total in zip(next(sums), totals)]
-                    scale *= lcm
-                else:
-                    if members is None:
-                        members = [[] for _ in triples]
-                        for k, c in enumerate(cls.tolist()):
-                            members[c].append(k)
-                    means = [_weighted_mean([values[p][k] for k in idx],
-                                            [weights[k] for k in idx])
-                             for idx in members]
-
-                if "lipschitz" in checks:
-                    lhs, rhs, ok = _lipschitz_table(kappa, means, scale,
-                                                    *pairs)
-                    # Verdict.slack of each pair; fmin skips NaN as fold does
-                    fold(float(np.fmin.reduce(rhs + 0.0 - lhs,
-                                              initial=math.inf)))
-                    summary.checked["lipschitz"] += len(ok)
-                    shown = (range(len(ok)) if on_record is not None
-                             else np.flatnonzero(~ok).tolist())
+                for check, count, least, shown in (decided[key][p]
+                                                   + mains[p][mask]):
+                    summary.checked[check] += count
+                    fold(least)
                     if shown:
-                        lhs, rhs, ok, first, second = (
-                            a.tolist() for a in (lhs, rhs, ok, *pairs[:2]))
-                    for k in shown:
-                        report(_lipschitz_verdict(
-                            _label(degrees, bp, param), triples[first[k]],
-                            triples[second[k]], lhs[k], rhs[k], ok[k]))
-                if "local" in checks:
-                    for c, delta, x, y, z in local:
-                        lhs, rhs, ok = _local_record(kappa, means[x], means[y],
-                                                     means[z], delta, scale)
-                        if tally("local", lhs, rhs, ok):
-                            report(Verdict("local", lhs, rhs, 0.0, ok,
-                                           _label(degrees, bp, param),
-                                           f"{c} delta={delta}"))
-                if "global" in checks:
-                    for gamma, top, cross in global_:
-                        lhs, rhs, ok = _global_record(kappa, means[top],
-                                                      means[cross], gamma,
-                                                      scale)
-                        if tally("global", lhs, rhs, ok):
-                            report(Verdict("global", lhs, rhs, 0.0, ok,
-                                           _label(degrees, bp, param),
-                                           f"gamma={gamma}"))
-                if "main" in checks:
-                    lhs, rhs, ok = _decide(
-                        expected[p](sides[0]) + expected[p](sides[1]),
-                        expected[p](whole) + penalty(sys.total / 2, kappa))
-                    if tally("main", lhs, rhs, ok):
-                        report(Verdict("main", lhs, rhs, 0.0, ok,
-                                       _label(degrees, bp, param),
-                                       "mode=exact"))
+                        label = _label(degrees, bp, param)
+                    for counts, lhs, rhs, ok in shown:
+                        result = Verdict(check, lhs, rhs, 0.0, ok, label,
+                                         counts)
+                        if not ok:
+                            summary.violations.append(result)
+                        if everything:
+                            on_record(result)
     return summary

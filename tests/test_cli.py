@@ -356,6 +356,12 @@ for _name, _args, _csv, _json in [
      _MAIN_MC + ["--side-a", "", "--reps", 50, "--workers", 1],
      "29dd0649550cf1b5c05724630d34511925d90f8d3e7dd66384ffb823f113ffab",
      "0020fce88d094f4c114fe4decd28eace312306074bbd3d638c1e15849584a7e6"),
+    # float means: every bipartition and split decided on its own
+    ("interp-verify-sweep-ising",
+     ["interp-verify", "--sweep", "--max-total-degree", 7, "--param", "ising",
+      "--beta", 0.5, "--seed", 1],
+     "898d434edc9ed0fb57b76ddc2e366ce4b981590e73ede3b37dc9dfa81b143cf7",
+     "555f70f28baa32039e5219ccfbc9e88bd1059fa51f3cdb9f7733df70aa1d7178"),
 ]:
     _golden_csv_and_json(_name, _args, _csv, _json)
 
@@ -441,8 +447,11 @@ def test_walk_command_json(runner, tmp_path):
     # the exact independence solver refuses degree-3 graphs this large
     ["psi", "--param", "independence", "--mu", '{"3": 1.0}', "--n", 50,
      "--reps", 2],
+    # a sweep over no degree function would check nothing
+    ["interp-verify", "--sweep", "--max-vertices", 0],
 ], ids=["psi-reps-0", "lipschitz-psi-reps-0", "concentration-reps-0",
-        "concentration-empty-eps", "psi-solver-limit"])
+        "concentration-empty-eps", "psi-solver-limit",
+        "interp-verify-sweep-no-vertices"])
 def test_library_input_errors_are_usage_errors(runner, args):
     result = invoke(runner, *args, "--seed", 1, "--workers", 1)
     assert result.exit_code == 2

@@ -398,23 +398,30 @@ def test_run_sweep_small_holds():
     assert min(summary.checked.values()) > 0
 
 
-def test_run_sweep_evaluates_each_graph_once_per_degree_function():
-    calls = []
+def test_run_sweep_evaluates_each_graph_once_per_degree_function(monkeypatch):
+    # every check, main included: a rational parameter's E f comes from the
+    # sweep's own sums, so expected_parameter sees only the empty side
+    calls, expected_degrees = [], []
 
     def evaluate(g):
         calls.append(g)
         return INDEPENDENCE.evaluate(g)
 
+    def expected(f, degrees):
+        expected_degrees.append(tuple(degrees))
+        return expected_parameter(f, degrees)
+
+    monkeypatch.setattr(interpolation, "expected_parameter", expected)
     counted = GraphParameter("independence", 1.0, evaluate)
-    summary = run_sweep([counted], max_total_degree=5, max_vertices=3,
-                        checks=("global",))
-    assert summary.all_hold
-    expected = 0
+    summary = run_sweep([counted], max_total_degree=5, max_vertices=3)
+    assert summary.all_hold and min(summary.checked.values()) > 0
+    distinct = 0
     for degrees in degree_functions(3, 5):
         sys = HalfEdgeSystem(degrees)
-        expected += len({graph_of_matching(sys, m)
+        distinct += len({graph_of_matching(sys, m)
                          for m in enumerate_matchings(sys)})
-    assert len(calls) == expected
+    assert len(calls) == distinct + 1
+    assert expected_degrees == [()]
 
 
 def test_run_sweep_keeps_same_named_parameters_apart():
@@ -433,11 +440,18 @@ def test_run_sweep_keeps_same_named_parameters_apart():
 
 
 def test_run_sweep_rejects_unknown_checks():
-    # a misspelt check would otherwise verify nothing and report all_hold
-    with pytest.raises(ValueError, match="lipshitz"):
-        run_sweep([INDEPENDENCE], 4, 2, checks=("lipshitz",))
-    with pytest.raises(ValueError, match="nope"):
-        run_sweep([INDEPENDENCE], 4, 2, checks=("main", "nope"))
+    # a misspelt check, or inputs that leave no record, would otherwise
+    # verify nothing and report all_hold; the error names the input
+    every = interpolation.CHECKS
+    for params, max_total_degree, max_vertices, checks, named in [
+            ([INDEPENDENCE], 4, 2, ("lipshitz",), "lipshitz"),
+            ([INDEPENDENCE], 4, 2, ("main", "nope"), "nope"),
+            ([INDEPENDENCE], 4, 2, (), "checks"),
+            ([], 4, 2, every, "params"),
+            ([INDEPENDENCE], -1, 2, every, "max_total_degree"),
+            ([INDEPENDENCE], 4, 0, every, "max_vertices")]:
+        with pytest.raises(ValueError, match=named):
+            run_sweep(params, max_total_degree, max_vertices, checks=checks)
 
 
 def test_run_sweep_detects_shrunk_penalty(monkeypatch):
@@ -521,7 +535,9 @@ def _sweep_records(params, max_total_degree, max_vertices, checks=CHECKS):
 @pytest.mark.parametrize("params, max_total_degree", [
     ([INDEPENDENCE, MAX_CUT, NEG_COMPONENTS], 6),
     ([ising_parameter(0.5), potts_parameter(3, 0.7)], 7),
-], ids=["integer", "spin"])
+    # rational and float means in one run: no record is reused
+    ([INDEPENDENCE, ising_parameter(0.5)], 6),
+], ids=["integer", "spin", "mixed"])
 def test_lipschitz_records_match_the_scalar_oracle(params, max_total_degree):
     # all four checks, not only the Lipschitz pairs: every record of the
     # sweep equals the scalar oracle's, field for field and in order
