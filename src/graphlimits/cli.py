@@ -190,7 +190,7 @@ def sample(degrees, mu_text, n, simple, max_tries, seed, output):
     if degrees is not None:
         d = _parse_degrees(degrees)
     elif mu_text is not None and n is not None:
-        d = sample_iid(_parse_mu(mu_text), n, rng).degrees
+        d = sample_iid(_parse_mu(mu_text), n, rng)
     else:
         raise click.UsageError("provide --degrees, or --mu with --n")
     try:

@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .degree import HalfEdgeSystem, as_degrees
+from .degree import HalfEdgeSystem, as_system
 from .graphs import Multigraph
 
 ENUMERATION_BUDGET = 12  # max total degree for exhaustive matching lists
@@ -192,7 +192,7 @@ def sample_uniform_matching(sys: HalfEdgeSystem, rng: np.random.Generator) -> Ma
 
 def sample_uniform_graph(d, rng: np.random.Generator) -> Multigraph:
     """Prescribed-degree random multigraph from a uniform maximal matching."""
-    degrees = as_degrees(d)
+    degrees = as_system(d).degree_array
     stubs = np.repeat(np.arange(1, len(degrees) + 1), degrees)
     rng.shuffle(stubs)
     m = len(stubs) // 2
@@ -245,9 +245,10 @@ def sample_simple(d, rng: np.random.Generator,
     """
     if max_tries < 1:
         raise ValueError("max_tries must be >= 1")
-    degrees = as_degrees(d)
+    # one system, so its degree array is built once, not per try
+    system = as_system(d)
     for _ in range(max_tries):
-        g = sample_uniform_graph(degrees, rng)
+        g = sample_uniform_graph(system, rng)
         if _is_simple(g):
             return g
     raise RejectionLimitError(max_tries)

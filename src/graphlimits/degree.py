@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -104,9 +105,18 @@ class DegreeDistribution:
 @dataclass(frozen=True)
 class HalfEdgeSystem:
     """Degree sequence d(1..n), read as vertices 1..n with d(i) labeled
-    half-edges each; n = 0 is the empty system."""
+    half-edges each; n = 0 is the empty system.  Built from an integer
+    array (:class:`_ArrayHalfEdgeSystem`), it holds the int64 ``degree_array``
+    and builds the ``degrees`` tuple on first access; built from any other
+    iterable, the other way round.  Equality and hashing go over ``degrees``.
+    """
 
     degrees: tuple
+
+    def __new__(cls, degrees=()):
+        # unpickling calls __new__ with no arguments, then restores __dict__
+        return super().__new__(_ArrayHalfEdgeSystem
+                               if isinstance(degrees, np.ndarray) else cls)
 
     def __post_init__(self):
         degrees = tuple(map(int, self.degrees))
@@ -114,9 +124,21 @@ class HalfEdgeSystem:
             raise ValueError("degrees must be non-negative")
         object.__setattr__(self, "degrees", degrees)
 
+    def __eq__(self, other):
+        if not isinstance(other, HalfEdgeSystem):
+            return NotImplemented
+        return self.degrees == other.degrees
+
+    def __hash__(self):
+        return hash(self.degrees)
+
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        return np.array(self.degrees, dtype=np.int64)
+
     @property
     def n(self) -> int:
-        return len(self.degrees)
+        return len(self)
 
     @property
     def total(self) -> int:
@@ -136,11 +158,35 @@ class HalfEdgeSystem:
         return len(self.degrees)
 
 
+class _ArrayHalfEdgeSystem(HalfEdgeSystem):
+    """What ``HalfEdgeSystem(array)`` returns: a system held as its int64
+    degree array, checked once with numpy."""
+
+    def __init__(self, degrees: np.ndarray):
+        if degrees.ndim != 1 or degrees.size and degrees.dtype.kind not in "iu":
+            raise ValueError(f"degree array must be 1-D integers, got "
+                             f"{degrees.dtype} of shape {degrees.shape}")
+        degrees = degrees.astype(np.int64, copy=False)
+        if degrees.min(initial=0) < 0:
+            raise ValueError("degrees must be non-negative")
+        object.__setattr__(self, "degree_array", degrees)
+
+    @cached_property
+    def degrees(self) -> tuple:
+        return tuple(self.degree_array.tolist())
+
+    def __len__(self):
+        return len(self.degree_array)
+
+
 def as_degrees(d) -> tuple:
     """Coerce a HalfEdgeSystem or plain iterable to a degree tuple."""
-    if isinstance(d, HalfEdgeSystem):
-        return d.degrees
-    return HalfEdgeSystem(d).degrees
+    return as_system(d).degrees
+
+
+def as_system(d) -> HalfEdgeSystem:
+    """Coerce a HalfEdgeSystem or plain iterable to a HalfEdgeSystem."""
+    return d if isinstance(d, HalfEdgeSystem) else HalfEdgeSystem(d)
 
 
 def empirical(d) -> DegreeDistribution:
@@ -190,5 +236,4 @@ def sample_iid(mu: DegreeDistribution, n: int, rng: np.random.Generator) -> Half
     support = np.array(mu.support, dtype=np.int64)
     weights = np.array([float(p) for p in mu.probs.values()])
     weights = weights / weights.sum()
-    draws = rng.choice(support, size=n, p=weights)
-    return HalfEdgeSystem(draws.tolist())
+    return HalfEdgeSystem(rng.choice(support, size=n, p=weights))

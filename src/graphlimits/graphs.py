@@ -216,10 +216,10 @@ def _component_roots(g: Multigraph) -> np.ndarray:
 
     Graphs built from pairs run a union-find with path halving over
     ``edges``, which beats numpy at their size.  Array-held graphs run a
-    min-label union: each round hooks every root that shares an edge with a
-    smaller root onto the smallest such root, then pointer jumping flattens
-    every tree to depth one.  Rounds repeat until no edge joins two trees;
-    sampled graphs at n = 200,000 take at most about ten.
+    min-label union over the root pairs of edges that still join two trees:
+    each round hooks every larger root onto the smallest root paired with
+    it, then pointer-jumps the whole root array while many pairs remain,
+    later only the hooked roots, and every vertex once at the end.
     """
     if g.edge_array is None:
         root = list(range(g.n))
@@ -239,20 +239,27 @@ def _component_roots(g: Multigraph) -> np.ndarray:
             root[v] = root[root[v]]
         return np.array(root, dtype=np.int64)
     ends = g.edge_array - 1
-    u, v = ends[:, 0], ends[:, 1]
+    ru, rv = ends[:, 0], ends[:, 1]
     root = np.arange(g.n)
-    while True:
-        ru, rv = root[u], root[v]
-        cross = ru != rv
-        if not cross.any():
-            return root
-        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+    while len(ru):
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        # the whole array is cheaper to jump while pairs exceed n / 8; a
+        # hooked root points at another root of this round, so jumping the
+        # hooked roots alone also brings them to their trees' roots
+        _jump(root, slice(None) if 8 * len(ru) > g.n else np.concatenate((ru, rv)))
+        ru, rv = root[ru], root[rv]
+        cross = ru != rv
+        ru, rv = ru[cross], rv[cross]
+    _jump(root, slice(None))
+    return root
+
+
+def _jump(root: np.ndarray, at) -> None:
+    """Pointer-jump the entries ``at`` of ``root`` in place until each
+    names the root of its tree."""
+    up = root[at]
+    while not np.array_equal(up, jumped := root[up]):
+        root[at] = up = jumped
 
 
 # ---------------------------------------------------------------------------

@@ -536,7 +536,11 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
     count triple: every matching of the class must be reached by the same
     number of histories, the reached set must equal the enumerated class,
     and the total history count must factor into the per-step choice counts.
+    Ranges that leave no instance raise ``ValueError``.
     """
+    if max_total_degree < 0 or max_vertices < 1:
+        raise ValueError(f"max_total_degree={max_total_degree}, max_vertices="
+                         f"{max_vertices} leave the sweep nothing to check")
     summary = UniformitySummary()
     seen = set()
     for degrees in degree_functions(max_vertices, max_total_degree):

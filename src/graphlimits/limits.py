@@ -28,6 +28,7 @@ from .degree import (
     DegreeDistribution,
     HalfEdgeSystem,
     as_degrees,
+    as_system,
     empirical,
     sample_iid,
     wasserstein,
@@ -111,7 +112,8 @@ def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> HalfEdgeSystem:
     largest-remainder rounding allows.
 
     If the total degree comes out odd, the last vertex's degree is bumped by
-    one; the distortion is a single atom of mass 1/n.
+    one; the distortion is a single atom of mass 1/n.  The result is
+    array-held, for the stub shuffle of every replication.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -123,9 +125,9 @@ def fixed_degree_sequence(mu: DegreeDistribution, n: int) -> HalfEdgeSystem:
                         reverse=True)
     for k in remainders[:shortfall]:
         counts[k] += 1
-    degrees = [k for k in sorted(counts) for _ in range(counts[k])]
-    if sum(degrees) % 2 == 1:
-        degrees[-1] += 1
+    keys = sorted(counts)
+    degrees = np.repeat(np.array(keys, dtype=np.int64), [counts[k] for k in keys])
+    degrees[-1] += degrees.sum() % 2
     return HalfEdgeSystem(degrees)
 
 
@@ -166,6 +168,10 @@ def graph_values(f: GraphParameter, source, n: int, reps: int,
     ``source`` is the degree sequence, or a DegreeDistribution from which
     every replication draws its n degrees iid.
     """
+    if not isinstance(source, DegreeDistribution):
+        # one system for every replication, so its degree array is built
+        # once per call (once per chunk in each pool worker)
+        source = as_system(source)
     return replicate(partial(_graph_value, f, source, n), reps, rng, workers)
 
 

@@ -44,3 +44,6 @@ def test_tracer_sees_every_layer_of_psi_and_sweep():
                  "interpolation.verify"):
         assert calls.get(name, 0) > 0, name
     assert limits.pmap.__module__ == "graphlimits._parallel"
+    # the half-edge counter sums the array-held degrees as Python ints
+    half_edges = tracer.counts[(-1, "config_model.half_edges")]
+    assert type(half_edges) is int and half_edges > 0

@@ -99,6 +99,20 @@ def test_sample_uniform_graph_forced_outcomes():
         assert g == Multigraph(1, ((1, 1),))
 
 
+def test_sample_uniform_graph_same_from_every_degree_form():
+    # a tuple, a tuple-held system, an int64 array and an array-held system
+    # shuffle the same stubs, so one rng state gives one graph
+    degrees = (3, 1, 2, 0, 2, 4)
+    forms = [degrees, HalfEdgeSystem(degrees), np.array(degrees),
+             HalfEdgeSystem(np.array(degrees))]
+    graphs = [sample_uniform_graph(d, np.random.default_rng(5)) for d in forms]
+    assert all(g == graphs[0] and g.edges == graphs[0].edges for g in graphs)
+    simple = [sample_simple(d, np.random.default_rng(5)) for d in forms]
+    assert all(g == simple[0] for g in simple)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_uniform_graph(np.array([2, -2]), np.random.default_rng(5))
+
+
 def test_sample_uniform_graph_empty_sequence():
     assert sample_uniform_graph((), np.random.default_rng(0)) == Multigraph(0)
 

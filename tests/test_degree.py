@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,41 @@ def test_half_edge_system_holds_python_ints():
         HalfEdgeSystem(("x",))
 
 
+def test_array_held_system_equals_tuple_form():
+    from_array = HalfEdgeSystem(np.array([2, 0, 3]))
+    from_tuple = HalfEdgeSystem((2, 0, 3))
+    # each form holds one of degree_array and degrees, and builds the other
+    assert "degrees" not in vars(from_array) and "degree_array" not in vars(from_tuple)
+    assert np.array_equal(from_array.degree_array, from_tuple.degree_array)
+    assert from_tuple.degree_array.dtype == np.int64
+    assert from_array == from_tuple and from_tuple == from_array
+    assert hash(from_array) == hash(from_tuple)
+    assert from_array != HalfEdgeSystem(np.array([2, 0, 1]))
+    assert (from_array.n, from_array.total, len(from_array)) == (3, 5, 3)
+    assert from_array.half_edges() == from_tuple.half_edges()
+    assert list(from_array) == [2, 0, 3]
+    assert all(type(d) is int for d in from_array.degrees)
+    assert HalfEdgeSystem(np.array([3, 1], dtype=np.uint8)) == HalfEdgeSystem((3, 1))
+    assert HalfEdgeSystem(np.array([])) == HalfEdgeSystem(())
+
+
+def test_array_held_system_pickles():
+    # pmap sends fixed-mode sequences to its workers by pickling them
+    sys = HalfEdgeSystem(np.array([1, 2, 1]))
+    again = pickle.loads(pickle.dumps(sys))
+    assert type(again) is type(sys) and "degrees" not in vars(again)
+    assert np.array_equal(again.degree_array, sys.degree_array) and again == sys
+
+
+def test_array_held_system_validates():
+    with pytest.raises(ValueError, match="non-negative"):
+        HalfEdgeSystem(np.array([1, -2]))
+    for bad in (np.array([1.0, 2.0]), np.array([[1, 2]]), np.array(3),
+                np.array([True, False])):
+        with pytest.raises(ValueError, match="1-D integers"):
+            HalfEdgeSystem(bad)
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -118,7 +154,10 @@ def test_sorted_l1_examples():
 
 def test_sample_iid():
     rng = np.random.default_rng(7)
-    assert sample_iid(D2, 5, rng).degrees == (2, 2, 2, 2, 2)
+    draws = sample_iid(D2, 5, rng)
+    assert "degrees" not in vars(draws) and draws.degree_array.dtype == np.int64
+    assert draws.degrees == (2, 2, 2, 2, 2)
+    assert all(type(d) is int for d in draws.degrees)
     with pytest.raises(ValueError):
         sample_iid(D2, 0, rng)
 

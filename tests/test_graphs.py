@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphlimits import graphs
 from graphlimits.config_model import sample_uniform_graph
+from graphlimits.degree import DegreeDistribution, sample_iid
 from graphlimits.graphs import (
     INDEPENDENCE,
     MAX_CUT,
@@ -15,6 +17,7 @@ from graphlimits.graphs import (
     POS_COMPONENTS,
     GraphParameter,
     Multigraph,
+    _component_roots,
     _independence_degree_two,
     _independent_masks,
     _max_cut_degree_two,
@@ -146,6 +149,62 @@ def test_array_and_pair_graphs_agree_at_degree_two(case):
     assert by_array.max_degree() <= 2
 
 
+@st.composite
+def sparse_and_dense_graphs(draw):
+    """(n, endpoint pairs) with n <= 60 and up to 3n edges: few edges hook
+    few roots per round, so the components pass jumps only the hooked roots,
+    and many edges make it jump the whole root array."""
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(1, n)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+def smallest_vertex_roots(n, pairs):
+    """0-based smallest vertex of each vertex's component, from networkx."""
+    oracle = nx.MultiGraph()
+    oracle.add_nodes_from(range(n))
+    oracle.add_edges_from((i - 1, j - 1) for i, j in pairs)
+    roots = np.empty(n, dtype=np.int64)
+    for component in nx.connected_components(oracle):
+        roots[list(component)] = min(component)
+    return roots
+
+
+@settings(max_examples=400)
+@given(sparse_and_dense_graphs())
+def test_component_roots_match_union_find_and_networkx(case):
+    n, pairs = case
+    by_array = Multigraph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    by_pairs = Multigraph(n, tuple(pairs))
+    expected = smallest_vertex_roots(n, pairs)
+    assert np.array_equal(_component_roots(by_array), expected)
+    assert np.array_equal(_component_roots(by_pairs), expected)
+
+
+def test_component_roots_reach_both_jumps(monkeypatch):
+    # 90 random edges on 60 vertices hook many roots in the first round, so
+    # the whole array is jumped; a few edges, here a chain hooked in
+    # descending order, hook so few that only the hooked roots are
+    jumps = []
+    jump = graphs._jump
+
+    def record(root, at):
+        jumps.append("all" if isinstance(at, slice) else "hooked")
+        jump(root, at)
+
+    monkeypatch.setattr(graphs, "_jump", record)
+    dense = np.random.default_rng(3).integers(1, 61, size=(90, 2)).tolist()
+    sparse = [(50, 40), (40, 30), (30, 20), (7, 7), (2, 3)]
+    for pairs, first in ((dense, "all"), (sparse, "hooked")):
+        jumps.clear()
+        g = Multigraph(60, np.array(pairs))
+        assert np.array_equal(_component_roots(g), smallest_vertex_roots(60, pairs))
+        # every vertex is flattened once at the end
+        assert (jumps[0], jumps[-1]) == (first, "all")
+
+
 def test_array_graph_accepts_any_integer_dtype():
     pairs = [(3, 1), (2, 2), (1, 3), (4, 1)]
     expected = Multigraph(4, pairs)
@@ -194,6 +253,15 @@ def test_large_array_graph_matches_networkx_and_pair_graph():
     assert num_components(path) == 1
     assert independence_number(path) == n // 2
     assert max_cut(path) == n - 1
+
+
+def test_large_cubic_graph_matches_networkx():
+    # one giant component, reached through many rounds of the array pass
+    rng = np.random.default_rng(2013)
+    g = sample_uniform_graph(sample_iid(DegreeDistribution({3: 1}), 200_000, rng),
+                             rng)
+    assert g.edge_array is not None and g.num_edges == 300_000
+    assert num_components(g) == networkx_components(g)
 
 
 def test_text_round_trip():

@@ -364,6 +364,19 @@ def test_uniformity_sweep_small():
     assert summary.classes > 100
 
 
+def test_uniformity_sweep_rejects_empty_ranges():
+    # with no instance the sweep would report all_uniform; the error names
+    # the input
+    for max_total_degree, max_vertices, named in [
+            (8, 0, "max_vertices"), (-1, 4, "max_total_degree"),
+            (-3, -1, "max_total_degree")]:
+        with pytest.raises(ValueError, match=named):
+            sweep_pairing_uniformity(max_total_degree, max_vertices)
+    # total degree 0 is a real instance: the empty class is reached once
+    summary = sweep_pairing_uniformity(0, 1)
+    assert (summary.instances, summary.classes) == (2, 2) and summary.all_uniform
+
+
 def test_uniformity_sweep_misses_a_dropped_matching(monkeypatch):
     monkeypatch.setattr(interpolation, "enumerate_matchings",
                         lambda sys: enumerate_matchings(sys)[:-1])
