@@ -538,9 +538,10 @@ def sweep_pairing_uniformity(max_total_degree: int = 8,
     and the total history count must factor into the per-step choice counts.
     Ranges that leave no instance raise ``ValueError``.
     """
-    if max_total_degree < 0 or max_vertices < 1:
-        raise ValueError(f"max_total_degree={max_total_degree}, max_vertices="
-                         f"{max_vertices} leave the sweep nothing to check")
+    for name, value, least in (("max_total_degree", max_total_degree, 0),
+                               ("max_vertices", max_vertices, 1)):
+        if value < least:
+            raise ValueError(f"{name}={value} leaves the sweep nothing to check")
     summary = UniformitySummary()
     seen = set()
     for degrees in degree_functions(max_vertices, max_total_degree):

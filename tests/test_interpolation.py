@@ -370,7 +370,7 @@ def test_uniformity_sweep_rejects_empty_ranges():
     for max_total_degree, max_vertices, named in [
             (8, 0, "max_vertices"), (-1, 4, "max_total_degree"),
             (-3, -1, "max_total_degree")]:
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=f"^{named}="):
             sweep_pairing_uniformity(max_total_degree, max_vertices)
     # total degree 0 is a real instance: the empty class is reached once
     summary = sweep_pairing_uniformity(0, 1)
