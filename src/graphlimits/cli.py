@@ -45,7 +45,7 @@ def _parse_mu(text: str) -> DegreeDistribution:
 
 def _parse_degrees(text: str) -> tuple:
     try:
-        degrees = HalfEdgeSystem(text.replace(",", " ").split()).degrees
+        degrees = HalfEdgeSystem(map(int, text.replace(",", " ").split())).degrees
     except ValueError as err:
         raise click.UsageError(f"bad degree sequence: {err}")
     if not degrees:

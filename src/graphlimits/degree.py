@@ -119,7 +119,11 @@ class HalfEdgeSystem:
                                if isinstance(degrees, np.ndarray) else cls)
 
     def __post_init__(self):
-        degrees = tuple(map(int, self.degrees))
+        degrees = tuple(self.degrees)
+        for d in degrees:   # refused, as by the array form, not truncated
+            if type(d) is bool or not isinstance(d, (int, np.integer)):
+                raise ValueError(f"degrees must be integers, got {d!r}")
+        degrees = tuple(map(int, degrees))
         if min(degrees, default=0) < 0:
             raise ValueError("degrees must be non-negative")
         object.__setattr__(self, "degrees", degrees)

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -472,31 +473,45 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
     """log of the total spin-configuration weight on g.
 
     Each configuration weighs prod_i h(s_i) * prod_{ij in E} J(s_i, s_j),
-    edges taken with multiplicity and loops contributing J(s_i, s_i).  The
-    sum is accumulated in log space with a max shift.
+    edges taken with multiplicity and loops contributing J(s_i, s_i).  Log
+    weights are built by broadcasting: vertex v's spin lies on axis n-1-v
+    (so C order is the index sum_v s_v q^v), and the vertex weights, then
+    the edges in order, add their log h or log J tables on their axes.
+    Slabs of at most ``_CHUNK`` states fix the highest vertices' spins, so a
+    call holds a few MB for any q^n.  The sum is accumulated in log space
+    with a max shift per window of ``_CHUNK`` consecutive states.
     """
-    n = g.n
-    if model.q ** n > STATE_BUDGET:
+    q, n = model.q, g.n
+    if q ** n > STATE_BUDGET:
         raise ValueError(
-            f"enumeration budget exceeded: {model.q}^{n} states > {STATE_BUDGET}")
-    if n == 0:
-        return 0.0
-    log_h = np.log(np.array(model.h))
-    log_J = np.log(np.array(model.J))
-    edges0 = [(i - 1, j - 1) for i, j in g.edges]
-    powers = model.q ** np.arange(n, dtype=np.int64)
-    total_states = model.q ** n
-    shifts = []
-    sums = []
-    for lo in range(0, total_states, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total_states), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % model.q
-        logw = log_h[digits].sum(axis=1)
-        for a, b in edges0:
-            logw += log_J[digits[:, a], digits[:, b]]
-        m = float(logw.max())
-        shifts.append(m)
-        sums.append(float(np.exp(logw - m).sum()))
+            f"enumeration budget exceeded: {q}^{n} states > {STATE_BUDGET}")
+    r = n   # a slab enumerates the spins of vertices 0..r-1
+    while q ** r > _CHUNK:
+        r -= 1
+    log_h, log_J = np.log(model.h), np.log(model.J)
+    diag, cross = log_J.diagonal(), log_J.T.copy()  # cross[t, s] = log J(s, t)
+    # h = 1 adds log 1 = +0.0, which changes no partial sum (none is -0.0)
+    weighted = set(model.h) != {1.0}
+    terms = [(v, log_h.reshape((q,) + (1,) * v)) for v in range(n) if weighted]
+    terms += [(j - 1, diag.reshape((q,) + (1,) * (i - 1)) if i == j else
+               cross.reshape((q,) + (1,) * (j - i - 1) + (q,) + (1,) * (i - 1)))
+              for i, j in g.edges]
+    # (fixed by the slab, table); a fixed vertex's table is indexed by its spin
+    terms = [(high >= r, np.broadcast_to(t, (q,) * (n - r) + t.shape[t.ndim - r:])
+              if high >= r else t) for high, t in terms]
+    slabs, shifts, sums, flat = q ** (n - r), [], [], np.empty(0)
+    for slab, spins in enumerate(product(range(q), repeat=n - r)):
+        logw = np.zeros((q,) * r)
+        for fixed, t in terms:
+            logw += t[spins] if fixed else t
+        flat = np.concatenate((flat, logw.ravel())) if len(flat) else logw.ravel()
+        end = len(flat) if slab == slabs - 1 else len(flat) - len(flat) % _CHUNK
+        for lo in range(0, end, _CHUNK):
+            window = flat[lo:lo + _CHUNK]
+            m = float(window.max())
+            shifts.append(m)
+            sums.append(float(np.exp(window - m).sum()))
+        flat = flat[end:]
     top = max(shifts)
     return top + math.log(sum(s * math.exp(m - top) for m, s in zip(shifts, sums)))
 
@@ -590,7 +605,9 @@ def is_cnd(m) -> bool:
     values = np.asarray(m, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(values, values.T, atol=_SYMMETRY_TOL, rtol=0):
+    if not np.isfinite(values).all():
+        raise ValueError("matrix entries must be finite")
+    if np.abs(values - values.T).max(initial=0.0) > _SYMMETRY_TOL:
         raise ValueError("matrix must be symmetric")
     n = values.shape[0]
     if n == 0:      # the sum-zero subspace of R^0 is {0}

@@ -116,6 +116,21 @@ def test_array_held_system_validates():
             HalfEdgeSystem(bad)
 
 
+
+def test_both_forms_refuse_non_integer_degrees():
+    # a float degree is refused, never truncated; booleans are refused too,
+    # as a boolean array is
+    for bad in ([1.5, 2.7], [2.0], [True, 2], [2, False], ["1"]):
+        with pytest.raises(ValueError, match="integers"):
+            HalfEdgeSystem(bad)
+    for bad in ([1.5, 2.7], [2.0], [True, False]):
+        with pytest.raises(ValueError, match="integers"):
+            HalfEdgeSystem(np.array(bad))
+    mixed = HalfEdgeSystem([np.int64(2), np.uint8(1), 3])
+    assert mixed.degrees == (2, 1, 3)
+    assert all(type(d) is int for d in mixed.degrees)
+    assert HalfEdgeSystem(iter([1, 1])).degrees == (1, 1)
+
 # ---------------------------------------------------------------------------
 # operations
 

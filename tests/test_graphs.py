@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import networkx as nx
@@ -397,23 +398,143 @@ def test_log_partition_counts_multiplicity():
 def test_log_partition_budget():
     with pytest.raises(ValueError, match="budget"):
         log_partition(Multigraph(30), ising_model(1.0))
+    with pytest.raises(ValueError) as err:
+        log_partition(Multigraph(11), potts_model(5, 1.0))
+    assert str(err.value) == "enumeration budget exceeded: 5^11 states > 16777216"
+
+
+def log_partition_digits(g, model):
+    """The digit-table enumeration that ``log_partition`` replaced: each
+    window of ``_CHUNK`` states builds its (states, n) table of spins by
+    integer division and gathers every weight from it."""
+    n = g.n
+    if n == 0:
+        return 0.0
+    log_h = np.log(np.array(model.h))
+    log_J = np.log(np.array(model.J))
+    edges0 = [(i - 1, j - 1) for i, j in g.edges]
+    powers = model.q ** np.arange(n, dtype=np.int64)
+    total_states = model.q ** n
+    shifts = []
+    sums = []
+    for lo in range(0, total_states, graphs._CHUNK):
+        idx = np.arange(lo, min(lo + graphs._CHUNK, total_states), dtype=np.int64)
+        digits = (idx[:, None] // powers[None, :]) % model.q
+        logw = log_h[digits].sum(axis=1)
+        for a, b in edges0:
+            logw += log_J[digits[:, a], digits[:, b]]
+        m = float(logw.max())
+        shifts.append(m)
+        sums.append(float(np.exp(logw - m).sum()))
+    top = max(shifts)
+    return top + math.log(sum(s * math.exp(m - top) for m, s in zip(shifts, sums)))
+
+
+# unequal log J entries: unlike ising and potts, the order of its sums shows
+SKEWED = graphs.SpinModel(3, (1.0, 1.0, 1.0), ((0.7, 1.3, 2.9), (1.3, 0.4, 1.1),
+                                              (2.9, 1.1, 3.7)))
+BIT_IDENTITY_MODELS = [ising_model(0.0), ising_model(0.5), ising_model(2.0),
+                       potts_model(3, 1.0), potts_model(5, 0.3), SKEWED]
+
+
+def test_log_partition_is_bit_identical_to_digit_enumeration():
+    rng = np.random.default_rng(14)
+    for k in range(320):
+        g = random_multigraph(rng, 6, 8)
+        if k % 2:   # the disjoint unions that certify_parameter evaluates
+            g = g.disjoint_union(random_multigraph(rng, 6, 8))
+        for model in BIT_IDENTITY_MODELS:
+            if model.q ** g.n <= 3 ** 12:
+                assert log_partition(g, model) == log_partition_digits(g, model)
+
+
+@pytest.mark.parametrize("model,n", [
+    (ising_model(0.5), 17), (ising_model(2.0), 18), (potts_model(3, 1.0), 11),
+    (potts_model(3, 1.0), 12), (potts_model(3, 1.0), 13), (SKEWED, 12),
+    (potts_model(4, 0.7), 9), (potts_model(5, 0.3), 7), (potts_model(5, 0.3), 8),
+])
+def test_log_partition_windows_cross_slabs_bit_identically(model, n):
+    # q^n > _CHUNK: several windows, and for q not a power of 2 windows
+    # that straddle slab boundaries
+    assert model.q ** n > graphs._CHUNK
+    rng = np.random.default_rng(n * model.q)
+    edges = rng.integers(1, n + 1, size=(2 * n, 2))
+    g = Multigraph(n, tuple((int(a), int(b)) for a, b in edges) + ((1, 1), (n, n)))
+    assert log_partition(g, model) == log_partition_digits(g, model)
+
+
+def test_log_partition_with_vertex_weights_matches_digit_enumeration():
+    # unequal h: the vertex weights are summed in vertex order, which
+    # numpy's row sum need not follow, so agreement is to rounding
+    model = graphs.SpinModel(3, (0.3, 1.7, 2.2),
+                             ((1.0, 2.0, 3.0), (2.0, 0.5, 1.0), (3.0, 1.0, 4.0)))
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        g = random_multigraph(rng, 9, 12)
+        assert log_partition(g, model) == pytest.approx(
+            log_partition_digits(g, model), rel=0, abs=1e-12)
+    # 3^11 states: the weights of vertices fixed by a slab are added too
+    g = Multigraph(11, tuple((v, v % 11 + 1) for v in range(1, 12)))
+    assert log_partition(g, model) == pytest.approx(
+        log_partition_digits(g, model), rel=0, abs=1e-12)
+
+
+def brute_log_partition(g, model):
+    h, J = np.array(model.h), np.array(model.J)
+    total = 0.0
+    for state in np.ndindex(*(model.q,) * g.n):
+        w = math.prod(h[s] for s in state)
+        for i, j in g.edges:
+            w *= J[state[i - 1], state[j - 1]]
+        total += w
+    return math.log(total)
 
 
 def test_log_partition_brute_force_cross_check():
     rng = np.random.default_rng(5)
     model = potts_model(3, 0.7)
-    J = np.array(model.J)
     for _ in range(25):
         g = random_multigraph(rng, 4, 5)
-        total = 0.0
-        for state in np.ndindex(*(model.q,) * g.n):
-            w = 1.0
-            for i, j in g.edges:
-                w *= J[state[i - 1], state[j - 1]]
-            total += w
-        assert log_partition(g, model) == pytest.approx(math.log(total),
-                                                        abs=1e-10)
+        assert log_partition(g, model) == pytest.approx(
+            brute_log_partition(g, model), abs=1e-10)
 
+
+@st.composite
+def spin_cases(draw):
+    """(graph, model): q in {2, 3}, n <= 5, loops and parallel edges
+    reachable, positive h and symmetric positive J."""
+    n = draw(st.integers(0, 5))
+    vertex = st.integers(1, max(n, 1))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=8)) if n else []
+    q = draw(st.sampled_from([2, 3]))
+    weight = st.floats(0.1, 5.0)
+    h = draw(st.lists(weight, min_size=q, max_size=q))
+    upper = {(s, t): draw(weight) for s in range(q) for t in range(s, q)}
+    J = [[upper[min(s, t), max(s, t)] for t in range(q)] for s in range(q)]
+    return Multigraph(n, tuple(pairs)), graphs.SpinModel(q, tuple(h), J)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spin_cases())
+def test_log_partition_matches_brute_force_product(case):
+    g, model = case
+    assert log_partition(g, model) == pytest.approx(
+        brute_log_partition(g, model), rel=0, abs=1e-10)
+
+
+def test_log_partition_memory_is_bounded():
+    # a 20-vertex cycle has 2^20 states; the digit tables held ~30 MB
+    cycle = Multigraph(20, tuple((v, v % 20 + 1) for v in range(1, 21)))
+    tracemalloc.start()
+    try:
+        value = log_partition(cycle, ising_model(0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    # transfer matrix: Z = tr(J^20) = (2 cosh 0.5)^20 + (2 sinh 0.5)^20
+    assert value == pytest.approx(math.log((2 * math.cosh(0.5)) ** 20
+                                           + (2 * math.sinh(0.5)) ** 20), abs=1e-9)
 
 # ---------------------------------------------------------------------------
 # parameters as class members
@@ -539,6 +660,17 @@ def test_is_cnd_rejects_bad_input():
         is_cnd(np.ones((2, 3)))
     with pytest.raises(ValueError, match="symmetric"):
         is_cnd(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            is_cnd(np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_is_cnd_symmetry_tolerance():
+    # asymmetry up to _SYMMETRY_TOL = 1e-12 is accepted, beyond it refused
+    inside = np.array([[0.0, 1.0], [1.0 + 0.9e-12, 0.0]])
+    assert is_cnd(inside) and not is_cnd(-inside)
+    with pytest.raises(ValueError, match="symmetric"):
+        is_cnd(np.array([[0.0, 1.0], [1.0 + 1.1e-12, 0.0]]))
 
 
 def _random_cnd(rng, n):
