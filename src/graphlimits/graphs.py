@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
@@ -108,7 +109,14 @@ class Multigraph:
         return np.array([i for i, _ in self.edges], dtype=np.int64) - 1
 
     def add_edge(self, i: int, j: int) -> "Multigraph":
-        return Multigraph(self.n, self.edges + ((i, j),))
+        """``Multigraph(n, edges + ((i, j),))``, checking only the new pair."""
+        i, j = int(i), int(j)
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"edge ({i}, {j}) outside 1..{self.n}")
+        k = bisect_right(self.edges, edge := (min(i, j), max(i, j)))
+        g = object.__new__(Multigraph)
+        g.__dict__.update(n=self.n, edges=self.edges[:k] + (edge,) + self.edges[k:])
+        return g
 
     def disjoint_union(self, other: "Multigraph") -> "Multigraph":
         shifted = tuple((i + self.n, j + self.n) for i, j in other.edges)
@@ -469,25 +477,16 @@ def potts_model(q: int, beta: float) -> SpinModel:
 _CHUNK = 1 << 16
 
 
-def log_partition(g: Multigraph, model: SpinModel) -> float:
-    """log of the total spin-configuration weight on g.
-
-    Each configuration weighs prod_i h(s_i) * prod_{ij in E} J(s_i, s_j),
-    edges taken with multiplicity and loops contributing J(s_i, s_i).  Log
-    weights are built by broadcasting: vertex v's spin lies on axis n-1-v
-    (so C order is the index sum_v s_v q^v), and the vertex weights, then
-    the edges in order, add their log h or log J tables on their axes.
-    Slabs of at most ``_CHUNK`` states fix the highest vertices' spins, so a
-    call holds a few MB for any q^n.  The sum is accumulated in log space
-    with a max shift per window of ``_CHUNK`` consecutive states.
-    """
+def _log_weight_slabs(g: Multigraph, model: SpinModel, limit: int = _CHUNK):
+    """Yield g's log state weights, in the flat order sum_v s_v q^v, as
+    (q,)*r slabs of at most ``limit`` states: vertex v's spin lies on axis
+    n-1-v, a slab fixes the spins of vertices r..n-1, and the vertex weights,
+    then the edges in order, add their log h or log J tables on their axes."""
     q, n = model.q, g.n
     if q ** n > STATE_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: {q}^{n} states > {STATE_BUDGET}")
-    r = n   # a slab enumerates the spins of vertices 0..r-1
-    while q ** r > _CHUNK:
-        r -= 1
+    r = max(r for r in range(n + 1) if q ** r <= limit)
     log_h, log_J = np.log(model.h), np.log(model.J)
     diag, cross = log_J.diagonal(), log_J.T.copy()  # cross[t, s] = log J(s, t)
     # h = 1 adds log 1 = +0.0, which changes no partial sum (none is -0.0)
@@ -499,13 +498,27 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
     # (fixed by the slab, table); a fixed vertex's table is indexed by its spin
     terms = [(high >= r, np.broadcast_to(t, (q,) * (n - r) + t.shape[t.ndim - r:])
               if high >= r else t) for high, t in terms]
-    slabs, shifts, sums, flat = q ** (n - r), [], [], np.empty(0)
-    for slab, spins in enumerate(product(range(q), repeat=n - r)):
+    for spins in product(range(q), repeat=n - r):
         logw = np.zeros((q,) * r)
         for fixed, t in terms:
             logw += t[spins] if fixed else t
+        yield logw
+
+
+def log_partition(g: Multigraph, model: SpinModel) -> float:
+    """log of the total spin-configuration weight on g.
+
+    Each configuration weighs prod_i h(s_i) * prod_{ij in E} J(s_i, s_j),
+    edges taken with multiplicity and loops contributing J(s_i, s_i).  The
+    broadcast slabs of :func:`_log_weight_slabs` keep a call to a few MB for
+    any q^n; the sum is taken in log space with a max shift per window of
+    ``_CHUNK`` consecutive states.
+    """
+    left, shifts, sums, flat = model.q ** g.n, [], [], np.empty(0)
+    for logw in _log_weight_slabs(g, model):
+        left -= logw.size
         flat = np.concatenate((flat, logw.ravel())) if len(flat) else logw.ravel()
-        end = len(flat) if slab == slabs - 1 else len(flat) - len(flat) % _CHUNK
+        end = len(flat) - (len(flat) % _CHUNK if left else 0)
         for lo in range(0, end, _CHUNK):
             window = flat[lo:lo + _CHUNK]
             m = float(window.max())
@@ -514,6 +527,29 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
         flat = flat[end:]
     top = max(shifts)
     return top + math.log(sum(s * math.exp(m - top) for m, s in zip(shifts, sums)))
+
+
+def _spin_increments(g: Multigraph, model: SpinModel) -> np.ndarray:
+    """f(G + ij) - f(G) = log E[J(s_i, s_j)] under g's Gibbs measure, for
+    f = log_partition(., model), from one enumeration of g.  Pair marginals
+    come from one-hot spin tables, n*q floats per state, so slabs hold at
+    most ``_CHUNK >> 4`` states; each is shifted by its own max."""
+    q, n = model.q, g.n
+    powers, top, pairs = q ** np.arange(n), -math.inf, 0.0
+    for k, logw in enumerate(_log_weight_slabs(g, model, _CHUNK >> 4)):
+        m = float(logw.max())
+        w = np.exp(logw - m).ravel()
+        spins = (np.arange(k * w.size, (k + 1) * w.size)[:, None] // powers) % q
+        onehot = (spins[:, :, None] == np.arange(q)).reshape(w.size, n * q)
+        # pairs[i*q + s, j*q + t]: the weight of states with s_i = s, s_j = t
+        new = max(top, m)
+        pairs = (pairs * math.exp(top - new)
+                 + math.exp(m - new) * (onehot.T @ (w[:, None] * onehot)))
+        top = new
+    pairs = pairs.reshape(n, q, n, q)
+    # vertex 1's diagonal block sums to the total weight
+    inc = np.log(np.einsum("iajb,ab->ij", pairs, model.J) / np.trace(pairs[0, :, 0]))
+    return (inc + inc.T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +621,11 @@ def parameter_from_name(name: str, beta: float | None = None,
 
 def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
     """n x n matrix of single-edge increments f(G + ij) - f(G); the diagonal
-    holds loop additions.  Symmetric by construction."""
+    holds loop additions.  Symmetric by construction.  For ``log_partition``
+    bound to a model, as :func:`spin_parameter` builds it, one enumeration
+    of g gives every entry; other parameters are evaluated on each G + ij."""
+    if g.n and getattr(f.evaluate, "func", None) is log_partition:
+        return _spin_increments(g, *f.evaluate.args, **f.evaluate.keywords)
     base = f.evaluate(g)
     out = np.zeros((g.n, g.n))
     for i in range(1, g.n + 1):

@@ -747,6 +747,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             raise ValueError(f"{name}={value} leaves the sweep nothing to check")
     summary = SweepSummary()
     everything = on_record is not None
+    bucketed = set(checks) != {"main"}
     # indexed by position: distinct parameters may share a name
     expected = [cache(partial(expected_parameter, param)) for param in params]
     # per parameter: sorted degrees -> exact E f, for each degree function
@@ -821,7 +822,9 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         for mask, bp in enumerate(bps):
             summary.instances += 1
             key = sides[mask][0] if reuse else None
-            if key is None or key not in decided:
+            if not bucketed:    # main alone reads no class sums
+                decided[key] = [[]] * len(params)
+            elif key is None or key not in decided:
                 da, db = bp.degree_a(sys), bp.degree_b(sys)
                 if (da, db) not in layouts:
                     layouts[da, db] = _sweep_layout(da, db)

@@ -29,6 +29,7 @@ from graphlimits.graphs import (
 )
 from graphlimits.interpolation import (
     check_corridor_exit,
+    default_corridor_width,
     penalty,
     penalty_constant,
     run_sweep,
@@ -187,9 +188,17 @@ def test_criterion_08_concentration():
 def test_criterion_09_corridor_exit_bound():
     t0 = time.time()
     report = check_corridor_exit(200, 14, 100_000, np.random.default_rng(600))
-    detail = (f"freq={report.lhs:.4f} <= bound={report.rhs:.4f} "
-              f"+ 3*{report.details['sigma']:.6f}")
-    _finish(9, t0, 60, report.verdict, detail)
+    # at delta = 14 the bound is 1.04, so that check cannot fail; at the
+    # default width 32 it is 0.0365, and a walk that leaves the corridor
+    # 4x too often would fail it
+    width = default_corridor_width(200)
+    informative = check_corridor_exit(200, width, 100_000,
+                                      np.random.default_rng(601))
+    assert informative.rhs < 0.05
+    detail = "; ".join(
+        f"delta={r.details['delta']}: freq={r.lhs:.4f} <= bound={r.rhs:.4f} "
+        f"+ 3*{r.details['sigma']:.6f}" for r in (report, informative))
+    _finish(9, t0, 60, report.verdict and informative.verdict, detail)
 
 
 def test_criterion_10_transport_identity():

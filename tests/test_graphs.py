@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -89,6 +90,23 @@ def test_multigraph_rejects_bad_edges():
         Multigraph(2, ((1, 3),))
     with pytest.raises(ValueError):
         Multigraph(-1)
+
+
+def test_add_edge_equals_rebuilt_graph():
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        g = random_multigraph(rng, 6, 8)
+        i, j = rng.integers(1, g.n + 1, size=2)
+        expect = Multigraph(g.n, g.edges + ((i, j),))
+        endpoints = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        for base in (g, Multigraph(g.n, endpoints)):
+            got = base.add_edge(i, j)
+            assert got == expect and hash(got) == hash(expect)
+            assert got.edges == expect.edges and got.edge_array is None
+    for i, j in ((3, 1), (0, 2), (1, -4)):
+        with pytest.raises(ValueError) as err:
+            EDGE.add_edge(i, j)
+        assert str(err.value) == f"edge ({i}, {j}) outside 1..2"
 
 
 def networkx_components(g):
@@ -640,6 +658,65 @@ def test_components_increment_formula():
                 assert inc[i - 1, j - 1] == (1.0 if joined else 0.0)
 
 
+def black_box(p):
+    """p behind a plain function: increment_matrix then evaluates p on
+    every G + ij, the path that integer parameters take."""
+    return GraphParameter(p.name, p.kappa, lambda g: p.evaluate(g))
+
+
+VERTEX_WEIGHTED = graphs.SpinModel(3, (0.3, 1.7, 2.2),
+                                   ((1.0, 2.0, 3.0), (2.0, 0.5, 1.0),
+                                    (3.0, 1.0, 4.0)))
+INCREMENT_MODELS = BIT_IDENTITY_MODELS + [VERTEX_WEIGHTED]
+
+
+@pytest.fixture
+def spin_increment_calls(monkeypatch):
+    """The graphs that increment_matrix hands to the one-enumeration path."""
+    calls, fast = [], graphs._spin_increments
+    monkeypatch.setattr(graphs, "_spin_increments",
+                        lambda g, model: calls.append(g) or fast(g, model))
+    return calls
+
+
+def test_spin_increments_match_black_box(spin_increment_calls):
+    rng = np.random.default_rng(21)
+    cases = [Multigraph(0), Multigraph(1), Multigraph(1, ((1, 1), (1, 1)))]
+    cases += [random_multigraph(rng, 6, 10) for _ in range(40)]
+    for model in INCREMENT_MODELS:
+        p = graphs.spin_parameter(model, "spin")
+        for g in cases:
+            inc = increment_matrix(p, g)
+            expect = increment_matrix(black_box(p), g)
+            assert inc.shape == expect.shape == (g.n, g.n)
+            assert np.abs(inc - expect).max(initial=0.0) <= 1e-12
+            assert np.array_equal(inc, inc.T)
+    assert len(spin_increment_calls) == len(INCREMENT_MODELS) * (len(cases) - 1)
+
+
+@pytest.mark.parametrize("model,n", [(ising_model(0.5), 17), (SKEWED, 11)])
+def test_spin_increments_across_slabs_match_black_box(model, n,
+                                                      spin_increment_calls):
+    # q^n states in several slabs, with loops and parallel edges
+    rng = np.random.default_rng(n)
+    edges = rng.integers(1, n + 1, size=(2 * n, 2))
+    g = Multigraph(n, tuple((int(a), int(b)) for a, b in edges)
+                   + ((1, 1), (2, 3), (2, 3)))
+    p = graphs.spin_parameter(model, "spin")
+    assert np.abs(increment_matrix(p, g)
+                  - increment_matrix(black_box(p), g)).max() <= 1e-12
+    assert spin_increment_calls == [g]
+
+
+def test_spin_increments_budget_message():
+    p = ising_parameter(1.0)
+    for f in (p, black_box(p)):
+        with pytest.raises(ValueError) as err:
+            increment_matrix(f, Multigraph(25))
+        assert str(err.value) == (
+            "enumeration budget exceeded: 2^25 states > 16777216")
+
+
 # ---------------------------------------------------------------------------
 # conditional negative semidefiniteness
 
@@ -766,6 +843,36 @@ def test_certify_catches_understated_kappa():
     assert not report.lipschitz.passed
     assert "G=" in report.lipschitz.counterexample
     assert "kappa=0.5" in report.lipschitz.counterexample
+
+
+def test_certify_spin_fast_path_catches_understated_kappa():
+    # ising(2) moves by up to 2 per added edge
+    understated = dataclasses.replace(ising_parameter(2.0), kappa=1.5)
+    report = certify_parameter(understated, 200, 6, np.random.default_rng(3),
+                               max_edges=8)
+    assert not report.lipschitz.passed
+    assert "G=" in report.lipschitz.counterexample
+    assert "kappa=1.5" in report.lipschitz.counterexample
+
+
+def test_certify_ferromagnetic_ising_is_not_concave():
+    beta = 0.5
+    lo, hi = math.exp(-beta), math.exp(beta)
+    ferro = graphs.spin_parameter(
+        graphs.SpinModel(2, (1.0, 1.0), ((hi, lo), (lo, hi))), "ferro")
+    # on the empty graph: beta for a loop, log cosh beta for a pair, which
+    # is positive definite on the sum-zero subspace
+    inc = increment_matrix(ferro, Multigraph(3))
+    expect = np.full((3, 3), math.log(math.cosh(beta)))
+    np.fill_diagonal(expect, beta)
+    assert inc == pytest.approx(expect, rel=0, abs=1e-12)
+    assert not is_cnd(inc)
+    report = certify_parameter(ferro, 200, 6, np.random.default_rng(3),
+                               max_edges=8)
+    assert report.additive.passed
+    assert report.lipschitz.passed
+    assert not report.concave.passed
+    assert "not CND" in report.concave.counterexample
 
 
 def test_certification_report_json():

@@ -560,6 +560,26 @@ def test_lipschitz_records_match_the_scalar_oracle(params, max_total_degree):
     assert got == want
 
 
+@pytest.mark.parametrize("params", [
+    [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS],
+    [INDEPENDENCE, ising_parameter(0.5)],
+], ids=["integer", "mixed"])
+def test_main_only_sweep_matches_main_records_of_all_checks(monkeypatch,
+                                                            params):
+    every = [r for r in _sweep_records(params, 7, 4) if r.check == "main"]
+    full = run_sweep(params, 7, 4)
+
+    def no_layout(*args):
+        raise AssertionError("a main-only sweep buckets no classes")
+
+    monkeypatch.setattr(interpolation, "_sweep_layout", no_layout)
+    assert _fields(_sweep_records(params, 7, 4, ("main",))) == _fields(every)
+    alone = run_sweep(params, 7, 4, checks=("main",))
+    assert alone.checked == {**dict.fromkeys(CHECKS, 0),
+                             "main": full.checked["main"]}
+    assert alone.instances == full.instances
+
+
 def test_lipschitz_violations_match_the_scalar_oracle():
     # a kappa far below the independence number's true constant: many
     # pairs fail, and the sweep must report exactly the oracle's failures
