@@ -451,6 +451,9 @@ def log_partition_digits(g, model):
 # unequal log J entries: unlike ising and potts, the order of its sums shows
 SKEWED = graphs.SpinModel(3, (1.0, 1.0, 1.0), ((0.7, 1.3, 2.9), (1.3, 0.4, 1.1),
                                               (2.9, 1.1, 3.7)))
+VERTEX_WEIGHTED = graphs.SpinModel(3, (0.3, 1.7, 2.2),
+                                   ((1.0, 2.0, 3.0), (2.0, 0.5, 1.0),
+                                    (3.0, 1.0, 4.0)))
 BIT_IDENTITY_MODELS = [ising_model(0.0), ising_model(0.5), ising_model(2.0),
                        potts_model(3, 1.0), potts_model(5, 0.3), SKEWED]
 
@@ -484,8 +487,7 @@ def test_log_partition_windows_cross_slabs_bit_identically(model, n):
 def test_log_partition_with_vertex_weights_matches_digit_enumeration():
     # unequal h: the vertex weights are summed in vertex order, which
     # numpy's row sum need not follow, so agreement is to rounding
-    model = graphs.SpinModel(3, (0.3, 1.7, 2.2),
-                             ((1.0, 2.0, 3.0), (2.0, 0.5, 1.0), (3.0, 1.0, 4.0)))
+    model = VERTEX_WEIGHTED
     rng = np.random.default_rng(15)
     for _ in range(100):
         g = random_multigraph(rng, 9, 12)
@@ -664,9 +666,6 @@ def black_box(p):
     return GraphParameter(p.name, p.kappa, lambda g: p.evaluate(g))
 
 
-VERTEX_WEIGHTED = graphs.SpinModel(3, (0.3, 1.7, 2.2),
-                                   ((1.0, 2.0, 3.0), (2.0, 0.5, 1.0),
-                                    (3.0, 1.0, 4.0)))
 INCREMENT_MODELS = BIT_IDENTITY_MODELS + [VERTEX_WEIGHTED]
 
 
