@@ -36,7 +36,6 @@ from .graphs import (
     certify_parameter,
     increment_matrix,
     independence_number,
-    independence_number_brute,
     is_cnd,
     ising_model,
     ising_parameter,

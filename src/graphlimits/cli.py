@@ -162,7 +162,7 @@ q_option = click.option("--q", type=int, default=None,
                         help="spin states for potts")
 seed_option = click.option("--seed", type=int, required=True,
                            help="base seed; mandatory for stochastic commands")
-workers_option = click.option("--workers", type=int,
+workers_option = click.option("--workers", type=click.IntRange(min=1),
                               default=lambda: os.cpu_count() or 1,
                               help="worker processes (results do not depend on this)")
 output_option = click.option("--output", type=click.Path(), default=None,

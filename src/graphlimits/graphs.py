@@ -21,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 BRANCH_BOUND_LIMIT = 40     # independence number, general graphs
-BRUTE_FORCE_LIMIT = 20      # subset-enumeration oracle
 MAX_CUT_LIMIT = 24          # bipartition enumeration
 STATE_BUDGET = 1 << 24      # weighted spin states per partition-function call
 _SYMMETRY_TOL = 1e-12
@@ -359,31 +358,6 @@ def independence_number(g: Multigraph) -> int:
     adj, loops = _simple_adjacency(g)
     candidates = ((1 << g.n) - 1) & ~loops
     return _branch_bound_alpha(adj, candidates)
-
-
-def _independent_masks(g: Multigraph):
-    """Boolean table over all vertex subsets: is the subset independent?"""
-    if g.n > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"instance too large for exact solver: n={g.n} > {BRUTE_FORCE_LIMIT}")
-    adj, loops = _simple_adjacency(g)
-    size = 1 << g.n
-    ok = bytearray(size)
-    ok[0] = 1
-    for mask in range(1, size):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        ok[mask] = 1 if (ok[rest] and not (adj[v] & rest) and not (loops & low)) else 0
-    return ok
-
-
-def independence_number_brute(g: Multigraph) -> int:
-    """Subset-enumeration oracle for the independence number (n <= 20)."""
-    if g.n == 0:
-        return 0
-    ok = _independent_masks(g)
-    return max(mask.bit_count() for mask in range(len(ok)) if ok[mask])
 
 
 def max_cut(g: Multigraph) -> int:

@@ -383,6 +383,15 @@ def test_worker_count_does_not_change_numbers(runner, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_usage_error(runner, workers):
+    result = invoke(runner, "psi", "--param", "independence", "--mu",
+                    '{"2": 1.0}', "--n", 50, "--reps", 4, "--seed", 1,
+                    "--workers", workers)
+    assert result.exit_code == 2
+    assert "--workers" in result.output
+
+
 def test_concavity_command(runner, tmp_path):
     out = tmp_path / "c.csv"
     result = invoke(runner, "concavity", "--param", "neg-components",

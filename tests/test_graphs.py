@@ -21,12 +21,11 @@ from graphlimits.graphs import (
     Multigraph,
     _component_roots,
     _independence_degree_two,
-    _independent_masks,
     _max_cut_degree_two,
+    _simple_adjacency,
     certify_parameter,
     increment_matrix,
     independence_number,
-    independence_number_brute,
     is_cnd,
     ising_model,
     ising_parameter,
@@ -62,6 +61,34 @@ def components_union_find(g):
         if ri != rj:
             parent[ri] = rj
     return len({find(v) for v in range(1, g.n + 1)})
+
+
+BRUTE_FORCE_LIMIT = 20      # subset-enumeration oracle
+
+
+def _independent_masks(g: Multigraph):
+    """Boolean table over all vertex subsets: is the subset independent?"""
+    if g.n > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"instance too large for exact solver: n={g.n} > {BRUTE_FORCE_LIMIT}")
+    adj, loops = _simple_adjacency(g)
+    size = 1 << g.n
+    ok = bytearray(size)
+    ok[0] = 1
+    for mask in range(1, size):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        ok[mask] = 1 if (ok[rest] and not (adj[v] & rest) and not (loops & low)) else 0
+    return ok
+
+
+def independence_number_brute(g: Multigraph) -> int:
+    """Subset-enumeration oracle for the independence number (n <= 20)."""
+    if g.n == 0:
+        return 0
+    ok = _independent_masks(g)
+    return max(mask.bit_count() for mask in range(len(ok)) if ok[mask])
 
 
 def max_cut_subsets(g):
