@@ -7,14 +7,12 @@ from .config_model import (
     Matching,
     PairingCounts,
     RejectionLimitError,
-    enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
     graph_of_matching,
     sample_in_class,
     sample_simple,
     sample_uniform_graph,
-    sample_uniform_matching,
 )
 from .degree import (
     DegreeDistribution,

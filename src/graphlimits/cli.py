@@ -226,9 +226,9 @@ def eval_command(param, beta, q, graph_path):
 @param_option
 @beta_option
 @q_option
-@click.option("--samples", type=int, default=200)
-@click.option("--max-n", type=int, default=6)
-@click.option("--max-edges", type=int, default=None)
+@click.option("--samples", type=click.IntRange(min=1), default=200)
+@click.option("--max-n", type=click.IntRange(min=1), default=6)
+@click.option("--max-edges", type=click.IntRange(min=0), default=None)
 @seed_option
 @output_option
 def certify(param, beta, q, samples, max_n, max_edges, seed, output):

@@ -177,19 +177,6 @@ def graph_of_matching(sys: HalfEdgeSystem, m: Matching) -> Multigraph:
 # samplers
 
 
-def sample_uniform_matching(sys: HalfEdgeSystem, rng: np.random.Generator) -> Matching:
-    """Uniform maximal matching: shuffle all half-edges, pair consecutively.
-
-    When the total degree is odd the last half-edge of the shuffle stays
-    unmatched.
-    """
-    hes = sys.half_edges()
-    order = rng.permutation(len(hes))
-    pairs = [(hes[order[2 * t]], hes[order[2 * t + 1]])
-             for t in range(len(hes) // 2)]
-    return Matching.of(pairs)
-
-
 def sample_uniform_graph(d, rng: np.random.Generator) -> Multigraph:
     """Prescribed-degree random multigraph from a uniform maximal matching."""
     degrees = as_system(d).degree_array
@@ -336,20 +323,6 @@ def enumerate_matchings(sys: HalfEdgeSystem) -> list:
 
     walk(0, hes, ())
     return out
-
-
-def enumerate_class(sys: HalfEdgeSystem, bp: Bipartition,
-                    counts: PairingCounts) -> list:
-    """All matchings with the given pair-type counts, each exactly once.
-
-    Infeasible counts yield the empty list.
-    """
-    _check_budget(sys)
-    bp.check_covers(sys)
-    if not counts.feasible(sys, bp):
-        return []
-    return [m for m in enumerate_matchings(sys)
-            if counts_of_matching(m, bp) == counts]
 
 
 def enumerate_maximal_matchings(sys: HalfEdgeSystem) -> list:

@@ -113,13 +113,12 @@ class Multigraph:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"edge ({i}, {j}) outside 1..{self.n}")
         k = bisect_right(self.edges, edge := (min(i, j), max(i, j)))
-        g = object.__new__(Multigraph)
-        g.__dict__.update(n=self.n, edges=self.edges[:k] + (edge,) + self.edges[k:])
-        return g
+        return _canonical_graph(self.n, self.edges[:k] + (edge,) + self.edges[k:])
 
     def disjoint_union(self, other: "Multigraph") -> "Multigraph":
+        # other's edges, shifted past self's vertices, sort after self's
         shifted = tuple((i + self.n, j + self.n) for i, j in other.edges)
-        return Multigraph(self.n + other.n, self.edges + shifted)
+        return _canonical_graph(self.n + other.n, self.edges + shifted)
 
     def to_text(self) -> str:
         lines = [f"{self.n} {self.num_edges}"]
@@ -194,14 +193,23 @@ class _ArrayMultigraph(Multigraph):
         return self.edge_array[:, 0] - 1
 
 
+def _canonical_graph(n: int, edges: tuple) -> Multigraph:
+    """A pair-built Multigraph on 1..n whose ``edges`` are already canonical:
+    sorted (i, j) pairs with 1 <= i <= j <= n, taken unchecked."""
+    g = object.__new__(Multigraph)
+    g.__dict__.update(n=n, edges=edges)
+    return g
+
+
 def random_multigraph(rng: np.random.Generator, max_vertices: int,
                       max_edges: int) -> Multigraph:
-    """Uniform vertex count in 1..max_vertices, then that many random endpoint
-    pairs (loops and duplicates allowed)."""
+    """Uniform vertex count in 1..max_vertices, then between 0 and max_edges
+    random endpoint pairs (loops and duplicates allowed)."""
     n = int(rng.integers(1, max_vertices + 1))
     m = int(rng.integers(0, max_edges + 1))
     endpoints = rng.integers(1, n + 1, size=(m, 2))
-    return Multigraph(n, tuple((int(a), int(b)) for a, b in endpoints))
+    endpoints.sort(axis=1)      # each pair as (min, max)
+    return _canonical_graph(n, tuple(sorted(map(tuple, endpoints.tolist()))))
 
 
 def _simple_adjacency(g: Multigraph):
@@ -374,14 +382,7 @@ def max_cut(g: Multigraph) -> int:
     if g.n > MAX_CUT_LIMIT:
         raise ValueError(
             f"instance too large for exact solver: n={g.n} > {MAX_CUT_LIMIT}")
-    weights = {}
-    for i, j in g.edges:
-        if i != j:
-            weights[(i - 1, j - 1)] = weights.get((i - 1, j - 1), 0) + 1
-    nbrs = [[] for _ in range(g.n)]
-    for (a, b), w in weights.items():
-        nbrs[a].append((b, w))
-        nbrs[b].append((a, w))
+    nbrs = _cut_neighbours(g)
     side = [0] * g.n
     cut = 0
     best = 0
@@ -393,6 +394,40 @@ def max_cut(g: Multigraph) -> int:
         if cut > best:
             best = cut
     return best
+
+
+def _cut_neighbours(g: Multigraph) -> list:
+    """(neighbour, multiplicity) pairs per 0-based vertex; loops never cross."""
+    weights = {}
+    for i, j in g.edges:
+        if i != j:
+            weights[(i - 1, j - 1)] = weights.get((i - 1, j - 1), 0) + 1
+    nbrs = [[] for _ in range(g.n)]
+    for (a, b), w in weights.items():
+        nbrs[a].append((b, w))
+        nbrs[b].append((a, w))
+    return nbrs
+
+
+def _max_cut_classes(g: Multigraph) -> list:
+    """The vertex sets, as 0-based bitmasks, that every maximum cut keeps on
+    one side, from the Gray-code pass of :func:`max_cut` (n >= 1): two
+    vertices of different sets are separated by some maximum cut."""
+    nbrs, full = _cut_neighbours(g), (1 << g.n) - 1
+    side, mask, cut, best, classes = [0] * g.n, 0, 0, 0, [full]
+    for code in range(1, 1 << (g.n - 1)):
+        v = (code & -code).bit_length()
+        side[v] ^= 1
+        mask ^= 1 << v
+        for u, w in nbrs[v]:
+            cut += w if side[u] != side[v] else -w
+        if cut > best:
+            best, classes = cut, [full ^ mask, mask]
+        elif cut == best and len(classes) < g.n:
+            # another maximum cut splits each set by its two sides
+            classes = [part for c in classes for part in (c & mask, c & ~mask)
+                       if part]
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +507,20 @@ def _log_weight_slabs(g: Multigraph, model: SpinModel, limit: int = _CHUNK):
     # (fixed by the slab, table); a fixed vertex's table is indexed by its spin
     terms = [(high >= r, np.broadcast_to(t, (q,) * (n - r) + t.shape[t.ndim - r:])
               if high >= r else t) for high, t in terms]
+    # a slab's partial sum starts as 0.0 and spans only the axes its terms
+    # have touched, so each state gets the additions of a full-shape sum of
+    # zeros in the same order; once it has full shape it is added to in place
+    full = (q,) * r
     for spins in product(range(q), repeat=n - r):
-        logw = np.zeros((q,) * r)
+        logw = np.float64(0.0)
         for fixed, t in terms:
-            logw += t[spins] if fixed else t
+            t = t[spins] if fixed else t
+            if logw.shape == full:
+                logw += t
+            else:
+                logw = logw + t
+        if logw.shape != full:      # spread it, and free the partial sum
+            logw = np.full(full, logw)
         yield logw
 
 
@@ -593,21 +638,69 @@ def parameter_from_name(name: str, beta: float | None = None,
 # increments and conditional negative semidefiniteness
 
 
-def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
-    """n x n matrix of single-edge increments f(G + ij) - f(G); the diagonal
-    holds loop additions.  Symmetric by construction.  For ``log_partition``
-    bound to a model, as :func:`spin_parameter` builds it, one enumeration
-    of g gives every entry; other parameters are evaluated on each G + ij."""
-    if g.n and getattr(f.evaluate, "func", None) is log_partition:
-        return _spin_increments(g, *f.evaluate.args, **f.evaluate.keywords)
-    base = f.evaluate(g)
+def _evaluated_increments(evaluate: Callable, g: Multigraph) -> np.ndarray:
+    """The increment matrix from evaluating g and each G + ij."""
+    base = evaluate(g)
     out = np.zeros((g.n, g.n))
     for i in range(1, g.n + 1):
         for j in range(i, g.n + 1):
-            delta = f.evaluate(g.add_edge(i, j)) - base
+            delta = evaluate(g.add_edge(i, j)) - base
             out[i - 1, j - 1] = delta
             out[j - 1, i - 1] = delta
     return out
+
+
+def _independence_increments(g: Multigraph) -> np.ndarray:
+    # a loop at v costs one exactly when v lies in every maximum independent
+    # set, and an edge ij costs one exactly when both i and j do
+    alpha = independence_number(g)
+    core = np.array([alpha - independence_number(g.add_edge(v, v))
+                     for v in range(1, g.n + 1)])
+    return (-np.outer(core, core)).astype(float)
+
+
+def _max_cut_increments(g: Multigraph) -> np.ndarray:
+    # an edge ij adds one exactly when some maximum cut separates i and j
+    if g.n > MAX_CUT_LIMIT:     # the closed forms still serve sparse graphs
+        return _evaluated_increments(max_cut, g)
+    member = (np.array(_max_cut_classes(g))[:, None] >> np.arange(g.n)) & 1
+    return (1 - member.T @ member).astype(float)
+
+
+def _component_increments(g: Multigraph) -> np.ndarray:
+    # an edge ij removes a component exactly when it joins two
+    root = _component_roots(g)
+    return np.not_equal.outer(root, root).astype(float)
+
+
+# evaluators whose increment matrix follows from one solve of g (or n + 1)
+_ONE_SOLVE = ((independence_number, _independence_increments),
+              (max_cut, _max_cut_increments),
+              (neg_num_components, _component_increments))
+
+
+def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
+    """n x n matrix of single-edge increments f(G + ij) - f(G); the diagonal
+    holds loop additions.  Symmetric by construction.
+
+    Every built-in family gets its matrix from one solve of g.  For
+    ``log_partition`` bound to a model, as :func:`spin_parameter` builds it,
+    one enumeration of g gives every entry as a pair marginal.  For
+    ``neg_num_components`` an entry is 1 exactly where i and j lie in
+    different components; for ``max_cut`` (n <= ``MAX_CUT_LIMIT``) exactly
+    where some maximum cut separates them, from one Gray-code pass; for
+    ``independence_number`` the matrix is -c c^T, where c_v = alpha(G) -
+    alpha(G + vv), from n + 1 solves.  Any other evaluator, a wrapped one
+    included, is evaluated on g and on each G + ij.
+    """
+    evaluate = f.evaluate
+    if g.n and getattr(evaluate, "func", None) is log_partition:
+        return _spin_increments(g, *evaluate.args, **evaluate.keywords)
+    one_solve = next((inc for known, inc in _ONE_SOLVE if evaluate is known),
+                     None)
+    if g.n and one_solve:
+        return one_solve(g)
+    return _evaluated_increments(evaluate, g)
 
 
 def is_cnd(m) -> bool:
@@ -693,6 +786,10 @@ def certify_parameter(f: GraphParameter, samples: int, nmax: int,
     """
     if max_edges is None:
         max_edges = 2 * nmax
+    for name, value, least in (("samples", samples, 1), ("nmax", nmax, 1),
+                               ("max_edges", max_edges, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     report = CertificationReport(f.name, f.kappa, samples, nmax, max_edges)
     for _ in range(samples):
         g1 = random_multigraph(rng, nmax, max_edges)

@@ -121,6 +121,25 @@ def test_certify_pass_and_fail(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--samples", 0), ("--samples", -3), ("--max-n", 0), ("--max-edges", -1),
+])
+def test_certify_empty_sample_range_is_usage_error(runner, option, value):
+    # nothing would be checked: no PASS, and no numpy error either
+    result = invoke(runner, "certify", "--param", "maxcut", "--seed", 1,
+                    option, value)
+    assert result.exit_code == 2
+    assert option in result.output
+    assert "PASS" not in result.output
+
+
+def test_certify_without_edges_checks_edgeless_graphs(runner):
+    result = invoke(runner, "certify", "--param", "maxcut", "--samples", 5,
+                    "--max-edges", 0, "--seed", 1)
+    assert result.exit_code == 0
+    assert "[PASS]" in result.output
+
+
 # ---------------------------------------------------------------------------
 # interpolation verification
 

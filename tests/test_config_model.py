@@ -8,6 +8,7 @@ from scipy import stats
 
 from graphlimits.config_model import (
     Bipartition,
+    _check_budget,
     _is_simple,
     HalfEdgeSystem,
     Matching,
@@ -15,7 +16,6 @@ from graphlimits.config_model import (
     RejectionLimitError,
     counts_of_graph,
     counts_of_matching,
-    enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
     enumerate_multigraphs,
@@ -23,13 +23,44 @@ from graphlimits.config_model import (
     sample_in_class,
     sample_simple,
     sample_uniform_graph,
-    sample_uniform_matching,
 )
 from graphlimits.graphs import Multigraph
 from graphlimits.interpolation import bipartitions_of, degree_functions
 
 SYS22 = HalfEdgeSystem((2, 2))
 BP22 = Bipartition.of(2, [1])
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def enumerate_class(sys: HalfEdgeSystem, bp: Bipartition,
+                    counts: PairingCounts) -> list:
+    """All matchings with the given pair-type counts, each exactly once.
+
+    Infeasible counts yield the empty list.
+    """
+    _check_budget(sys)
+    bp.check_covers(sys)
+    if not counts.feasible(sys, bp):
+        return []
+    return [m for m in enumerate_matchings(sys)
+            if counts_of_matching(m, bp) == counts]
+
+
+def sample_uniform_matching(sys: HalfEdgeSystem,
+                            rng: np.random.Generator) -> Matching:
+    """Uniform maximal matching: shuffle all half-edges, pair consecutively.
+
+    When the total degree is odd the last half-edge of the shuffle stays
+    unmatched.
+    """
+    hes = sys.half_edges()
+    order = rng.permutation(len(hes))
+    pairs = [(hes[order[2 * t]], hes[order[2 * t + 1]])
+             for t in range(len(hes) // 2)]
+    return Matching.of(pairs)
 
 
 # ---------------------------------------------------------------------------

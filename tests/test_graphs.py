@@ -526,6 +526,34 @@ def test_log_partition_with_vertex_weights_matches_digit_enumeration():
         log_partition_digits(g, model), rel=0, abs=1e-12)
 
 
+# graphs whose slabs leave axes untouched: no terms at all, a slab whose
+# first term is one of the vertices it fixes, and a fixed term before a
+# free one
+SPARSE_SLAB_CASES = [
+    (Multigraph(5), BIT_IDENTITY_MODELS),
+    (Multigraph(17, ((17, 17),)), [ising_model(0.5), ising_model(2.0)]),
+    (Multigraph(17, ((2, 17), (3, 3))), [ising_model(0.5)]),
+    (Multigraph(11, ((11, 11),)), [potts_model(3, 1.0), SKEWED]),
+]
+
+
+@pytest.mark.parametrize("g,models", SPARSE_SLAB_CASES,
+                         ids=["no-terms", "fixed-loop", "fixed-then-free",
+                              "potts-fixed-loop"])
+def test_log_partition_bit_identical_on_sparse_slabs(g, models):
+    for model in models:
+        assert log_partition(g, model) == log_partition_digits(g, model)
+
+
+@pytest.mark.parametrize("g,models", SPARSE_SLAB_CASES[:3],
+                         ids=["no-terms", "fixed-loop", "fixed-then-free"])
+def test_spin_increments_on_sparse_slabs_match_black_box(g, models):
+    for model in models:
+        p = graphs.spin_parameter(model, "spin")
+        assert np.abs(graphs._spin_increments(g, model)
+                      - increment_matrix(black_box(p), g)).max() <= 1e-12
+
+
 def brute_log_partition(g, model):
     h, J = np.array(model.h), np.array(model.J)
     total = 0.0
@@ -689,8 +717,50 @@ def test_components_increment_formula():
 
 def black_box(p):
     """p behind a plain function: increment_matrix then evaluates p on
-    every G + ij, the path that integer parameters take."""
+    every G + ij."""
     return GraphParameter(p.name, p.kappa, lambda g: p.evaluate(g))
+
+
+@pytest.fixture
+def pair_loop_calls(monkeypatch):
+    """The graphs whose increments are evaluated on each G + ij."""
+    calls, loop = [], graphs._evaluated_increments
+    monkeypatch.setattr(graphs, "_evaluated_increments",
+                        lambda evaluate, g: calls.append(g) or loop(evaluate, g))
+    return calls
+
+
+@pytest.mark.parametrize("param", [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS],
+                         ids=lambda p: p.name)
+def test_one_solve_increments_match_black_box(param, pair_loop_calls):
+    rng = np.random.default_rng(22)
+    cases = [Multigraph(0), Multigraph(1), Multigraph(1, ((1, 1), (1, 1))),
+             Multigraph(4, ((1, 1), (1, 2), (1, 2), (3, 4), (3, 4), (4, 4)))]
+    cases += [random_multigraph(rng, 7, 10) for _ in range(200)]
+    for g in cases:
+        inc = increment_matrix(param, g)
+        expect = increment_matrix(black_box(param), g)
+        assert inc.dtype == expect.dtype and inc.shape == expect.shape
+        assert inc.tobytes() == expect.tobytes()   # signed zeros included
+    # the one-solve path evaluated only Multigraph(0) pair by pair
+    assert len(pair_loop_calls) == len(cases) + 1
+
+
+def test_other_evaluators_take_the_pair_loop(pair_loop_calls):
+    params = [POS_COMPONENTS, black_box(INDEPENDENCE), black_box(MAX_CUT),
+              black_box(NEG_COMPONENTS)]
+    for p in params:
+        increment_matrix(p, PATH3)
+    assert pair_loop_calls == [PATH3] * len(params)
+
+
+def test_max_cut_increments_above_the_gray_code_limit(pair_loop_calls):
+    # the pair loop serves an edgeless graph past MAX_CUT_LIMIT: every G + ij
+    # has degree <= 2
+    g = Multigraph(graphs.MAX_CUT_LIMIT + 6)
+    expect = 1.0 - np.eye(g.n)
+    assert increment_matrix(MAX_CUT, g).tobytes() == expect.tobytes()
+    assert pair_loop_calls == [g]
 
 
 INCREMENT_MODELS = BIT_IDENTITY_MODELS + [VERTEX_WEIGHTED]
@@ -849,7 +919,7 @@ def test_certify_spin_parameters():
     assert report.all_passed, report.to_json()
 
 
-def test_certify_negative_control():
+def test_certify_negative_control(pair_loop_calls):
     report = certify_parameter(POS_COMPONENTS, 100, 6,
                                np.random.default_rng(15), max_edges=8)
     assert report.additive.passed
@@ -857,9 +927,11 @@ def test_certify_negative_control():
     assert not report.concave.passed
     assert report.concave.counterexample is not None
     assert not report.all_passed
+    # every increment matrix came from the pair loop
+    assert len(pair_loop_calls) == 100
 
 
-def test_certify_catches_understated_kappa():
+def test_certify_catches_understated_kappa(pair_loop_calls):
     # independence moves by 1 per added edge, twice the declared 1/2
     understated = GraphParameter("independence", 0.5, independence_number)
     report = certify_parameter(understated, 200, 6, np.random.default_rng(3),
@@ -869,6 +941,24 @@ def test_certify_catches_understated_kappa():
     assert not report.lipschitz.passed
     assert "G=" in report.lipschitz.counterexample
     assert "kappa=0.5" in report.lipschitz.counterexample
+    # the one-solve path found it
+    assert pair_loop_calls == []
+
+
+@pytest.mark.parametrize("samples,nmax,max_edges,name", [
+    (0, 6, 8, "samples"), (-3, 6, 8, "samples"), (10, 0, None, "nmax"),
+    (10, 6, -1, "max_edges"),
+])
+def test_certify_rejects_empty_sample_ranges(samples, nmax, max_edges, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        certify_parameter(MAX_CUT, samples, nmax, np.random.default_rng(0),
+                          max_edges=max_edges)
+
+
+def test_certify_edgeless_samples():
+    report = certify_parameter(MAX_CUT, 20, 4, np.random.default_rng(0),
+                               max_edges=0)
+    assert report.all_passed and report.concave.samples == 20
 
 
 def test_certify_spin_fast_path_catches_understated_kappa():

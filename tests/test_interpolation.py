@@ -15,7 +15,6 @@ from graphlimits.config_model import (
     Bipartition,
     HalfEdgeSystem,
     PairingCounts,
-    enumerate_class,
     enumerate_matchings,
     enumerate_maximal_matchings,
     graph_of_matching,
@@ -50,6 +49,7 @@ from graphlimits.interpolation import (
     verify_local_superadd,
     verify_main,
 )
+from test_config_model import enumerate_class
 
 SYS22 = HalfEdgeSystem((2, 2))
 BP22 = Bipartition.of(2, [1])
