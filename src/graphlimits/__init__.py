@@ -10,7 +10,6 @@ from .config_model import (
     enumerate_matchings,
     enumerate_maximal_matchings,
     graph_of_matching,
-    sample_in_class,
     sample_simple,
     sample_uniform_graph,
 )
@@ -52,7 +51,6 @@ from .interpolation import (
     UniformitySummary,
     check_corridor_exit,
     class_mean,
-    class_mean_mc,
     default_corridor_width,
     expected_parameter,
     history_counts,

@@ -320,33 +320,29 @@ def _max_cut_degree_two(g: Multigraph) -> int:
     return g.num_edges - int(np.count_nonzero(e[e == v] % 2))
 
 
-def _branch_bound_alpha(adj, candidates: int) -> int:
-    best = 0
-
-    def rec(mask: int, size: int):
-        nonlocal best
-        if size > best:
-            best = size
-        if size + mask.bit_count() <= best:
-            return
-        # pivot on the highest-degree remaining vertex
-        m = mask
-        pivot, pivot_deg = -1, -1
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            d = (adj[v] & mask).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
-        if pivot_deg == 0:
-            best = max(best, size + mask.bit_count())
-            return
-        rec(mask & ~(adj[pivot] | (1 << pivot)), size + 1)
-        rec(mask ^ (1 << pivot), size)
-
-    rec(candidates, 0)
-    return best
+def _branch_bound_alpha(adj, mask: int, size: int = 0, best: int = 0) -> int:
+    """Largest independent set among the vertices of ``mask``, plus
+    ``size``, or ``best`` if that is larger.  A module-level recursion, not
+    a closure, so that no call leaves a reference cycle behind."""
+    if size > best:
+        best = size
+    if size + mask.bit_count() <= best:
+        return best
+    # pivot on the highest-degree remaining vertex
+    m = mask
+    pivot, pivot_deg = -1, -1
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        d = (adj[v] & mask).bit_count()
+        if d > pivot_deg:
+            pivot, pivot_deg = v, d
+    if pivot_deg == 0:
+        return max(best, size + mask.bit_count())
+    best = _branch_bound_alpha(adj, mask & ~(adj[pivot] | (1 << pivot)),
+                               size + 1, best)
+    return _branch_bound_alpha(adj, mask ^ (1 << pivot), size, best)
 
 
 def independence_number(g: Multigraph) -> int:

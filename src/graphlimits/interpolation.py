@@ -1,5 +1,5 @@
-"""Exact and Monte Carlo means over constrained matching classes, and the
-inequality verifiers built on them.
+"""Exact means over constrained matching classes, and the inequality
+verifiers built on them.
 
 For an instance (half-edge system, bipartition, parameter f) write
 F(alpha, beta, gamma) for the mean of f over the uniform matching class
@@ -43,7 +43,6 @@ from .config_model import (  # noqa: F401
     enumerate_maximal_matchings,
     enumerate_multigraphs,
     graph_of_matching,
-    sample_in_class,
 )
 from .degree import HalfEdgeSystem, as_degrees
 from .graphs import GraphParameter
@@ -53,7 +52,6 @@ from .limits import (
     Verdict,
     graph_values,
     mean_stderr,
-    replicate,
 )
 
 DEFAULT_TOL = 1e-9
@@ -223,26 +221,6 @@ def class_mean(inst: InterpolationInstance, counts: PairingCounts):
         raise ValueError(f"empty class: counts {tuple(counts)} are infeasible")
     return _weighted_mean([inst.f.evaluate(g) for g, _ in members],
                           [w for _, w in members])
-
-
-def _class_value(inst: InterpolationInstance, counts: PairingCounts,
-                 rng: np.random.Generator) -> float:
-    m = sample_in_class(inst.sys, inst.bp, counts, rng)
-    return float(inst.f.evaluate(graph_of_matching(inst.sys, m)))
-
-
-def class_mean_mc(inst: InterpolationInstance, counts: PairingCounts, reps: int,
-                  rng: np.random.Generator, workers: int = 1):
-    """Monte Carlo estimate of :func:`class_mean`: (mean, standard error).
-
-    Replication i draws from a substream keyed by i, so the estimate does
-    not depend on the worker count.
-    """
-    counts = PairingCounts(*counts)
-    if not counts.feasible(inst.sys, inst.bp):
-        raise ValueError(f"infeasible pairing counts {tuple(counts)}")
-    return mean_stderr(replicate(partial(_class_value, inst, counts), reps,
-                                 rng, workers))
 
 
 def expected_parameter(f: GraphParameter, degrees):
@@ -635,14 +613,21 @@ def _sweep_layout(da: int, db: int) -> tuple:
     return triples, lut, _pair_distances(triples), local, global_
 
 
-def _checked(check: str, records: list, everything: bool) -> tuple:
-    """(check, count, least slack, shown) of one check's records, each
-    (counts field, lhs, rhs, verdict): shown holds every record when
+def _checked(check: str, records: list, everything: bool,
+             identities: int = 0) -> tuple:
+    """(check, count, least slack, least slack past the first
+    ``identities`` records, shown) of one check's records, each (counts
+    field, lhs, rhs, verdict): shown holds every record when
     ``everything``, else the failures."""
-    slacks = [rhs + 0.0 - lhs for _, lhs, rhs, _ in records]
-    # a NaN slack never wins, as in SweepSummary's fold
-    least = min((s for s in slacks if s == s), default=math.inf)
-    return (check, len(records), least,
+    least = firm = math.inf
+    for k, (_, lhs, rhs, _) in enumerate(records):
+        slack = rhs + 0.0 - lhs
+        # a NaN slack never wins, as in SweepSummary's fold
+        if slack < least:
+            least = slack
+        if slack < firm and k >= identities:
+            firm = slack
+    return (check, len(records), least, firm,
             records if everything else [r for r in records if not r[3]])
 
 
@@ -662,7 +647,7 @@ def _instance_records(kappa, means, scale, layout, checks,
         if shown:
             lhs, rhs, ok, first, second = (
                 a.tolist() for a in (lhs, rhs, ok, *pairs[:2]))
-        out.append(("lipschitz", len(ok), least,
+        out.append(("lipschitz", len(ok), least, least,
                     [(f"{triples[first[k]]}|{triples[second[k]]}", lhs[k],
                       rhs[k], ok[k]) for k in shown]))
     if "local" in checks:
@@ -671,9 +656,10 @@ def _instance_records(kappa, means, scale, layout, checks,
                                scale))
             for c, delta, x, y, z in local], everything))
     if "global" in checks:
+        # the first, at gamma = 0, compares a class mean with itself
         out.append(_checked("global", [
             (c, *_global_record(kappa, means[top], means[cross], gamma, scale))
-            for c, gamma, top, cross in global_], everything))
+            for c, gamma, top, cross in global_], everything, identities=1))
     return out
 
 
@@ -686,6 +672,10 @@ class SweepSummary:
     checked: dict = field(default_factory=lambda: dict.fromkeys(CHECKS, 0))
     violations: list = field(default_factory=list)
     min_slack: float = math.inf
+    # per check, without the records that cannot fail: global at gamma = 0
+    # and main on degree functions of total degree 0
+    least_slack: dict = field(
+        default_factory=lambda: dict.fromkeys(CHECKS, math.inf))
 
     @property
     def total_checked(self) -> int:
@@ -729,8 +719,21 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     their own labels; float means can differ in the last bit between them,
     so otherwise each bipartition is decided on its own.
 
+    The Lipschitz, local and global records of an (instance, parameter)
+    depend only on d(A), d(B), kappa and the class means.  For a rational
+    parameter the means are integer numerators over a common denominator,
+    and each distinct such input is decided once per run; its records are
+    replayed, under the instance's own label, wherever it recurs (as for
+    degree functions that differ only by vertices of degree 0).  Float
+    means are always decided afresh.  With ``on_record`` every record of
+    each distinct input is kept until the run ends, sharing its objects with
+    the ``Verdict``s of the replays.
+
     A record becomes a ``Verdict`` only for ``on_record`` or when it fails.
-    ``min_slack`` is the smallest slack over all checked inequalities.
+    ``min_slack`` is the smallest slack over all checked inequalities;
+    ``least_slack`` is, per check, the smallest slack over the records that
+    can fail, so without the global records at gamma = 0 and the main
+    records of total degree 0, which hold with slack 0 by construction.
     Unknown ``checks``, and inputs that leave nothing to check (no checks,
     no parameters, ``max_total_degree < 0`` or ``max_vertices < 1``), raise
     ``ValueError``.
@@ -754,11 +757,17 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     # swept so far on which the parameter is rational
     maximal = [{} for _ in params]
     layouts = {}
+    # vertex count -> its bipartitions and their pair kinds
+    tables = {}
+    # (d(A), d(B), kappa, scale, numerators) -> _instance_records' result
+    memo = {}
 
-    def fold(slack: float):
+    def fold(check: str, least: float, firm: float):
         # a NaN slack never wins, as in min()
-        if slack < summary.min_slack:
-            summary.min_slack = slack
+        if least < summary.min_slack:
+            summary.min_slack = least
+        if firm < summary.least_slack[check]:
+            summary.least_slack[check] = firm
 
     def main_records(p: int, whole: tuple, sides: list, pen: float) -> list:
         """The main record of each split (A, B) in ``sides``, as a list
@@ -777,8 +786,10 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             rhs = expected[p](whole) + pen
             split = [_decide(expected[p](a) + expected[p](b), rhs)
                      for a, b in sides]
-        return [[_checked("main", [("mode=exact", *r)], everything)]
-                for r in split]
+        # every split of a total-degree-0 function holds with slack 0
+        identities = int(not any(whole))
+        return [[_checked("main", [("mode=exact", *r)], everything,
+                          identities)] for r in split]
 
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
@@ -791,7 +802,9 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                                for i, j in g.edges], dtype=np.intp)
         slots = 3 * np.repeat(np.arange(len(weighted)),
                               [g.num_edges for g, _ in weighted])
-        kinds = _pair_kinds(sys.n)
+        if sys.n not in tables:
+            tables[sys.n] = list(bipartitions_of(sys.n)), _pair_kinds(sys.n)
+        bps, kinds = tables[sys.n]
         # the integers summed per class: the weights, then for each
         # rational parameter weight times value over one denominator
         rows, dens = [weights], []
@@ -808,7 +821,6 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         top = top.sum(axis=1).tolist()
         for p, s in zip(rational, top[1:]):
             maximal[p][whole] = Fraction(s, dens[p] * top[0])
-        bps = list(bipartitions_of(sys.n))
         sides = [tuple(tuple(sorted(degrees[v - 1] for v in side))
                        for side in (bp.a, bp.b)) for bp in bps]
         mains = [main_records(p, whole, sides,
@@ -844,11 +856,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                 records = []
                 for p, param in enumerate(params):
                     scale = dens[p]
-                    if scale is not None:
-                        means = [s * (lcm // total)
-                                 for s, total in zip(next(sums), totals)]
-                        scale *= lcm
-                    else:
+                    if scale is None:   # no key: a -0.0 or NaN must not match
                         if members is None:
                             members = [[] for _ in triples]
                             for k, c in enumerate(cls.tolist()):
@@ -856,14 +864,25 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                         means = [_weighted_mean([values[p][k] for k in idx],
                                                 [weights[k] for k in idx])
                                  for idx in members]
-                    records.append(_instance_records(
-                        param.kappa, means, scale, layout, checks, everything))
+                        records.append(_instance_records(
+                            param.kappa, means, None, layout, checks,
+                            everything))
+                        continue
+                    means = [s * (lcm // total)
+                             for s, total in zip(next(sums), totals)]
+                    scale *= lcm
+                    seen = (da, db, param.kappa, scale, tuple(means))
+                    if seen not in memo:
+                        memo[seen] = _instance_records(
+                            param.kappa, means, scale, layout, checks,
+                            everything)
+                    records.append(memo[seen])
                 decided[key] = records
             for p, param in enumerate(params):
-                for check, count, least, shown in (decided[key][p]
-                                                   + mains[p][mask]):
+                for check, count, least, firm, shown in (decided[key][p]
+                                                         + mains[p][mask]):
                     summary.checked[check] += count
-                    fold(least)
+                    fold(check, least, firm)
                     if shown:
                         label = _label(degrees, bp, param)
                     for counts, lhs, rhs, ok in shown:

@@ -65,8 +65,11 @@ def test_criterion_01_exhaustive_interpolation_sweep():
                         max_total_degree=8, max_vertices=4)
     detail = (f"{summary.total_checked} inequalities on {summary.instances} "
               f"instances, {len(summary.violations)} violations")
-    _finish(1, t0, 300, summary.all_hold and summary.total_checked > 50_000,
-            detail)
+    # the bench sweep gate's exact counts
+    ok = (summary.instances == 1294 and summary.all_hold
+          and summary.checked == {"lipschitz": 114_852, "local": 4_380,
+                                  "global": 7_806, "main": 3_882})
+    _finish(1, t0, 300, ok, detail)
 
 
 def test_criterion_02_pairing_uniformity():

@@ -20,7 +20,6 @@ from graphlimits.config_model import (
     enumerate_maximal_matchings,
     enumerate_multigraphs,
     graph_of_matching,
-    sample_in_class,
     sample_simple,
     sample_uniform_graph,
 )
@@ -60,6 +59,41 @@ def sample_uniform_matching(sys: HalfEdgeSystem,
     order = rng.permutation(len(hes))
     pairs = [(hes[order[2 * t]], hes[order[2 * t + 1]])
              for t in range(len(hes) // 2)]
+    return Matching.of(pairs)
+
+
+def sample_in_class(sys: HalfEdgeSystem, bp: Bipartition, counts: PairingCounts,
+                    rng: np.random.Generator) -> Matching:
+    """Uniform matching with the given pair-type counts.
+
+    Builds up from the empty matching by alpha random A-pairings, then beta
+    B-pairings, then gamma cross-pairings; each step draws a uniform pair of
+    distinct free half-edges of the required sides.  Any fixed step order
+    yields the same uniform law.
+    """
+    bp.check_covers(sys)
+    if not counts.feasible(sys, bp):
+        raise ValueError(f"infeasible pairing counts {tuple(counts)}: "
+                         f"need 2*alpha+gamma <= d(A) and 2*beta+gamma <= d(B)")
+    free_a = [h for h in sys.half_edges() if bp.side_of(h[0]) == "A"]
+    free_b = [h for h in sys.half_edges() if bp.side_of(h[0]) == "B"]
+    pairs = []
+
+    def draw_within(pool):
+        i, j = rng.choice(len(pool), size=2, replace=False)
+        i, j = (int(i), int(j)) if i > j else (int(j), int(i))
+        first = pool.pop(i)
+        second = pool.pop(j)
+        pairs.append((first, second))
+
+    for _ in range(counts.alpha):
+        draw_within(free_a)
+    for _ in range(counts.beta):
+        draw_within(free_b)
+    for _ in range(counts.gamma):
+        i = int(rng.integers(len(free_a)))
+        j = int(rng.integers(len(free_b)))
+        pairs.append((free_a.pop(i), free_b.pop(j)))
     return Matching.of(pairs)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -356,6 +357,79 @@ def test_independence_branch_bound_vs_brute():
     for _ in range(150):
         g = random_multigraph(rng, 9, 14)
         assert independence_number(g) == independence_number_brute(g)
+
+
+def _closure_branch_bound(adj, candidates: int, visits: list) -> int:
+    """The earlier closure form of the branch-and-bound, recording the
+    (mask, size) of every node it explores."""
+    best = 0
+
+    def rec(mask: int, size: int):
+        nonlocal best
+        visits.append((mask, size))
+        if size > best:
+            best = size
+        if size + mask.bit_count() <= best:
+            return
+        m = mask
+        pivot, pivot_deg = -1, -1
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            d = (adj[v] & mask).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+        if pivot_deg == 0:
+            best = max(best, size + mask.bit_count())
+            return
+        rec(mask & ~(adj[pivot] | (1 << pivot)), size + 1)
+        rec(mask ^ (1 << pivot), size)
+
+    rec(candidates, 0)
+    return best
+
+
+def test_branch_bound_explores_the_closure_forms_nodes(monkeypatch):
+    # the module-level recursion keeps the pivot rule and branch order:
+    # same value, same nodes in the same order
+    search = graphs._branch_bound_alpha
+    visits = []
+
+    def recording(adj, mask, size=0, best=0):
+        visits.append((mask, size))
+        return search(adj, mask, size, best)
+
+    monkeypatch.setattr(graphs, "_branch_bound_alpha", recording)
+    rng = np.random.default_rng(12)
+    explored = 0
+    for _ in range(150):
+        g = random_multigraph(rng, 14, 24)
+        if g.max_degree() <= 2:
+            continue
+        adj, loops = _simple_adjacency(g)
+        expected = []
+        value = _closure_branch_bound(adj, ((1 << g.n) - 1) & ~loops, expected)
+        visits.clear()
+        assert independence_number(g) == value
+        assert visits == expected
+        explored += len(expected)
+    assert explored > 1000
+
+
+def test_branch_bound_leaves_no_reference_cycles():
+    # a recursive closure left one cycle per call for the cyclic collector
+    g = Multigraph(5, ((1, 2), (1, 3), (1, 4), (2, 3), (2, 5), (3, 5),
+                       (4, 5)))
+    assert g.max_degree() == 3
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert independence_number(g) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_independence_closed_form_vs_brute_on_sparse():

@@ -1,6 +1,8 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from numbers import Rational
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphlimits import interpolation
-from graphlimits.limits import Verdict
+from graphlimits.limits import Verdict, mean_stderr, replicate
 from graphlimits.config_model import (
     Bipartition,
     HalfEdgeSystem,
@@ -33,7 +35,6 @@ from graphlimits.interpolation import (
     _result,
     check_corridor_exit,
     class_mean,
-    class_mean_mc,
     default_corridor_width,
     degree_functions,
     bipartitions_of,
@@ -49,11 +50,33 @@ from graphlimits.interpolation import (
     verify_local_superadd,
     verify_main,
 )
-from test_config_model import enumerate_class
+from test_config_model import enumerate_class, sample_in_class
 
 SYS22 = HalfEdgeSystem((2, 2))
 BP22 = Bipartition.of(2, [1])
 INST22 = InterpolationInstance(SYS22, BP22, INDEPENDENCE)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _class_value(inst: InterpolationInstance, counts: PairingCounts,
+                 rng: np.random.Generator) -> float:
+    m = sample_in_class(inst.sys, inst.bp, counts, rng)
+    return float(inst.f.evaluate(graph_of_matching(inst.sys, m)))
+
+
+def class_mean_mc(inst: InterpolationInstance, counts: PairingCounts, reps: int,
+                  rng: np.random.Generator):
+    """Monte Carlo estimate of :func:`class_mean`: (mean, standard error) of
+    ``reps`` draws of the class by sequential pairing, replication i from
+    the substream keyed by i."""
+    counts = PairingCounts(*counts)
+    if not counts.feasible(inst.sys, inst.bp):
+        raise ValueError(f"infeasible pairing counts {tuple(counts)}")
+    return mean_stderr(replicate(partial(_class_value, inst, counts), reps,
+                                 rng))
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +782,92 @@ def test_run_sweep_min_slack_is_the_least_record_slack():
         summary = run_sweep(params, 5, 3, on_record=records.append)
         assert summary.min_slack == min(r.slack for r in records)
         assert run_sweep(params, 5, 3).min_slack == summary.min_slack
+
+
+def _identity_record(r: Verdict) -> bool:
+    """A record that holds with slack 0 by construction: global at gamma = 0,
+    or main on a degree function of total degree 0."""
+    degrees = ast.literal_eval(r.instance.split(" A=")[0].removeprefix("d="))
+    return ((r.check == "global" and r.counts == "gamma=0")
+            or (r.check == "main" and not any(degrees)))
+
+
+def test_run_sweep_least_slack_leaves_out_the_identity_records():
+    params = [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS]
+    records = []
+    summary = run_sweep(params, 6, 3, on_record=records.append)
+    identities = [r for r in records if _identity_record(r)]
+    assert {r.check for r in identities} == {"global", "main"}
+    assert all(r.slack == 0 for r in identities)
+    oracle = {check: min((r.slack for r in records
+                          if r.check == check and not _identity_record(r)),
+                         default=math.inf) for check in CHECKS}
+    assert summary.least_slack == oracle
+    assert oracle["global"] > 0 and oracle["main"] > 0
+    assert summary.min_slack == min(r.slack for r in records) == 0
+    assert run_sweep(params, 6, 3).least_slack == oracle
+    # a check that is not run keeps inf
+    alone = run_sweep(params, 6, 3, checks=("local",)).least_slack
+    assert alone == dict.fromkeys(CHECKS, math.inf) | {"local": oracle["local"]}
+
+
+def test_run_sweep_least_slack_goes_negative_under_a_shrunk_penalty(
+        monkeypatch):
+    monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
+    summary = run_sweep([INDEPENDENCE, MAX_CUT, NEG_COMPONENTS], 6, 3)
+    assert summary.least_slack["global"] < 0
+    assert summary.least_slack["main"] < 0
+
+
+def _count_instance_records(monkeypatch) -> list:
+    """Wrap ``_sweep_layout`` and ``_instance_records``; the returned list
+    gets the memo key (d(A), d(B), kappa, scale, numerators) of each call,
+    or None for float means."""
+    sides, keys = {}, []
+    layout, records = (interpolation._sweep_layout,
+                       interpolation._instance_records)
+
+    def sweep_layout(da, db):
+        out = layout(da, db)
+        sides[id(out)] = (da, db)
+        return out
+
+    def instance_records(kappa, means, scale, layout, *args):
+        keys.append(None if scale is None else
+                    (*sides[id(layout)], kappa, scale, tuple(means)))
+        return records(kappa, means, scale, layout, *args)
+
+    monkeypatch.setattr(interpolation, "_sweep_layout", sweep_layout)
+    monkeypatch.setattr(interpolation, "_instance_records", instance_records)
+    return keys
+
+
+def test_run_sweep_decides_each_distinct_record_set_once(monkeypatch):
+    # the bench batch: 2,814 (instance, parameter) decisions without the
+    # memo, 1,289 distinct inputs
+    keys = _count_instance_records(monkeypatch)
+    summary = run_sweep([INDEPENDENCE, MAX_CUT, NEG_COMPONENTS], 8, 4)
+    assert summary.all_hold and summary.instances == 1294
+    assert None not in keys
+    assert len(keys) == len(set(keys)) == 1289
+
+
+def test_run_sweep_memo_lasts_one_run(monkeypatch):
+    keys = _count_instance_records(monkeypatch)
+    params = [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS]
+    first = run_sweep(params, 7, 4, on_record=lambda r: None)
+    calls = len(keys)
+    second = run_sweep(params, 7, 4, on_record=lambda r: None)
+    assert len(keys) == 2 * calls
+    assert keys[:calls] == keys[calls:]
+    assert first == second
+
+
+def test_run_sweep_decides_float_means_on_every_bipartition(monkeypatch):
+    keys = _count_instance_records(monkeypatch)
+    summary = run_sweep([ising_parameter(0.5)], 6, 3)
+    assert summary.instances > 0
+    assert keys == [None] * summary.instances
 
 
 @st.composite
