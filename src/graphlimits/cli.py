@@ -11,6 +11,7 @@ allowance, or a sampler giving up), 2 usage or input error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -120,6 +121,36 @@ def _write_records(output, fmt: str, kind: str, records, envelope=None):
         writer.writerow([name for name, _, _ in columns if name])
         writer.writerows([get(r) for name, _, get in columns if name]
                          for r in records)
+
+
+@contextlib.contextmanager
+def _streamed_records(output, fmt: str, kind: str):
+    """Yield an ``on_record`` callback that writes records as
+    :func:`_write_records` would, or None without ``output``.  CSV rows are
+    written as they arrive, so no record is kept; JSON is one document, so
+    its records are kept and written at the end.  The CSV file is opened at
+    the first record (at the end if none came), so an input error raised
+    before any record leaves no file, as with :func:`_write_records`."""
+    if output is None or fmt == "json":
+        records = []
+        yield records.append if output else None
+        _write_records(output, fmt, kind, records)
+        return
+    columns = [(name, get) for name, _, get in _COLUMNS[kind] if name]
+    writer = None
+    with contextlib.ExitStack() as files:
+
+        def write(record):
+            nonlocal writer
+            if writer is None:
+                writer = csv.writer(files.enter_context(
+                    open(output, "w", newline="")))
+                writer.writerow([name for name, _ in columns])
+            writer.writerow([get(record) for _, get in columns])
+
+        yield write
+        if writer is None:
+            _write_records(output, fmt, kind, [])
 
 
 def _finish(line: str, slack: float, ok: bool):
@@ -293,10 +324,9 @@ def interp_verify(sweep, max_total_degree, max_vertices, params, beta, q,
 
     if sweep:
         # records are built only to be written
-        records = []
-        summary = itp.run_sweep(resolved, max_total_degree, max_vertices,
-                                on_record=records.append if output else None)
-        _write_records(output, fmt, "verifier", records)
+        with _streamed_records(output, fmt, "verifier") as on_record:
+            summary = itp.run_sweep(resolved, max_total_degree, max_vertices,
+                                    on_record=on_record)
         _finish(f"interp-verify: {summary.total_checked} inequalities on "
                 f"{summary.instances} instances, "
                 f"{len(summary.violations)} violations", summary.min_slack,

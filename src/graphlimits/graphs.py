@@ -14,7 +14,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable
 
@@ -39,13 +39,15 @@ class Multigraph:
     their edge multisets agree, whichever form they were built from.
 
     Sampled graphs are built from endpoint arrays and held as such (see
-    :class:`_ArrayMultigraph`): ``edge_array`` is their canonical int64
-    array, and their degrees run vectorised on it.  Graphs built from pairs,
-    the small graphs of the exact solvers and enumerations, have
-    ``edge_array`` None and keep plain loops and attributes, which are
-    faster at that size.  One components pass serves both forms (numpy for
-    array-held graphs, a union-find for pair-built ones), and each degree-2
-    closed form is one expression over its output.  Instances are immutable.
+    :class:`_ArrayMultigraph`): ``ends`` is the validated array as given,
+    their degrees and components run vectorised on it, and the canonical
+    ``edge_array`` and ``edges`` are sorted only when first read.  Graphs
+    built from pairs, the small graphs of the exact solvers and
+    enumerations, have ``edge_array`` None and keep plain loops and
+    attributes, which are faster at that size.  One components pass serves
+    both forms (numpy for array-held graphs, a union-find for pair-built
+    ones), and each component-additive parameter is one per-root rule over
+    its output.  Instances are immutable.
     """
 
     edge_array = None
@@ -77,10 +79,11 @@ class Multigraph:
     def __eq__(self, other):
         if not isinstance(other, Multigraph):
             return NotImplemented
-        if self.edge_array is None or other.edge_array is None:
-            return self.n == other.n and self.edges == other.edges
-        return self.n == other.n and np.array_equal(self.edge_array,
-                                                    other.edge_array)
+        if isinstance(self, _ArrayMultigraph) and isinstance(
+                other, _ArrayMultigraph):
+            return self.n == other.n and np.array_equal(self.edge_array,
+                                                        other.edge_array)
+        return self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
         return hash((self.n, self.edges))
@@ -105,7 +108,7 @@ class Multigraph:
 
     def _tails(self) -> np.ndarray:
         """The first (0-based) endpoint of each edge."""
-        return np.array([i for i, _ in self.edges], dtype=np.int64) - 1
+        return np.array([i - 1 for i, _ in self.edges], dtype=np.int64)
 
     def add_edge(self, i: int, j: int) -> "Multigraph":
         """``Multigraph(n, edges + ((i, j),))``, checking only the new pair."""
@@ -137,9 +140,9 @@ class Multigraph:
         return cls(n, tuple(pairs))
 
 
-def _canonical_array(n: int, edges: np.ndarray) -> np.ndarray:
-    """Validate an (m, 2) endpoint array and sort it into canonical order:
-    each row as (min, max), rows in lexicographic order."""
+def _validated_ends(n: int, edges: np.ndarray) -> np.ndarray:
+    """Check an (m, 2) endpoint array against 1..n and return it as a
+    read-only int64 view, rows in the order given."""
     if edges.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
@@ -148,9 +151,16 @@ def _canonical_array(n: int, edges: np.ndarray) -> np.ndarray:
     if edges.min() < 1 or edges.max() > n:
         i, j = edges[((edges < 1) | (edges > n)).any(axis=1).argmax()].tolist()
         raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
-    edges = edges.astype(np.int64, copy=False)
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
+    ends = edges.astype(np.int64, copy=False).view()
+    ends.flags.writeable = False
+    return ends
+
+
+def _canonical_array(n: int, ends: np.ndarray) -> np.ndarray:
+    """A validated endpoint array in canonical order: each row as
+    (min, max), rows in lexicographic order."""
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
     if n >= 1 << 31:    # lo * (n + 1) + hi could overflow int64
         order = np.lexsort((hi, lo))
         return np.column_stack((lo[order], hi[order]))
@@ -162,26 +172,30 @@ def _canonical_array(n: int, edges: np.ndarray) -> np.ndarray:
 
 class _ArrayMultigraph(Multigraph):
     """What ``Multigraph(n, array)`` returns: a multigraph held as its
-    canonical endpoint array, whose ``edges`` pairs are built on first
-    access."""
+    validated endpoint array ``ends``, in the order given.  The array is
+    held, not copied.  Degrees, tails and the components pass read ``ends``;
+    the canonical ``edge_array`` and the ``edges`` pairs are built on first
+    access, for equality, hashing, text and the exact solvers."""
 
     def __init__(self, n: int, edges: np.ndarray):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_array", _canonical_array(n, edges))
+        object.__setattr__(self, "ends", _validated_ends(n, edges))
 
-    @property
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        return _canonical_array(self.n, self.ends)
+
+    @cached_property
     def edges(self) -> tuple:
-        if "_edges" not in self.__dict__:
-            lo, hi = self.edge_array.T.tolist()
-            object.__setattr__(self, "_edges", tuple(zip(lo, hi)))
-        return self._edges
+        lo, hi = self.edge_array.T.tolist()
+        return tuple(zip(lo, hi))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_array)
+        return len(self.ends)
 
     def _degree_array(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n + 1)[1:]
+        return np.bincount(self.ends.ravel(), minlength=self.n + 1)[1:]
 
     def degrees(self) -> tuple:
         return tuple(self._degree_array().tolist())
@@ -190,7 +204,7 @@ class _ArrayMultigraph(Multigraph):
         return int(self._degree_array().max(initial=0))
 
     def _tails(self) -> np.ndarray:
-        return self.edge_array[:, 0] - 1
+        return self.ends[:, 0] - 1
 
 
 def _canonical_graph(n: int, edges: tuple) -> Multigraph:
@@ -237,7 +251,7 @@ def _component_roots(g: Multigraph) -> np.ndarray:
     it, then pointer-jumps the whole root array while many pairs remain,
     later only the hooked roots, and every vertex once at the end.
     """
-    if g.edge_array is None:
+    if not isinstance(g, _ArrayMultigraph):
         root = list(range(g.n))
         for i, j in g.edges:
             a, b = i - 1, j - 1
@@ -254,7 +268,7 @@ def _component_roots(g: Multigraph) -> np.ndarray:
         for v in range(g.n):
             root[v] = root[root[v]]
         return np.array(root, dtype=np.int64)
-    ends = g.edge_array - 1
+    ends = g.ends - 1
     ru, rv = ends[:, 0], ends[:, 1]
     root = np.arange(g.n)
     while len(ru):
@@ -280,44 +294,72 @@ def _jump(root: np.ndarray, at) -> None:
 
 # ---------------------------------------------------------------------------
 # integer-valued parameters
+#
+# The component-additive parameters are per-root rules: given the
+# components pass's root array of a graph, a rule returns an integer array
+# whose entry r is the value of the component with smallest vertex r (0 at
+# every other vertex).  A graph's value is the sum of that array; over a
+# disjoint union of equal-size graphs, its block sums are the graphs'
+# values (see :func:`evaluate_many`).
 
 
-def num_components(g: Multigraph) -> int:
-    """Number of connected components; isolated vertices count, loops and
-    parallel edges are connectivity-neutral."""
-    return int(np.count_nonzero(_component_roots(g) == np.arange(g.n)))
+def _root_marks(root: np.ndarray, g: Multigraph) -> np.ndarray:
+    # one per component
+    return root == np.arange(len(root))
 
 
-def neg_num_components(g: Multigraph) -> int:
-    return -num_components(g)
+def _negated_root_marks(root: np.ndarray, g: Multigraph) -> np.ndarray:
+    return -_root_marks(root, g).astype(np.int64)
 
 
-def _degree_two_arrays(g: Multigraph) -> tuple:
+def _degree_two_arrays(root: np.ndarray, g: Multigraph) -> tuple:
     """Vertex and edge counts (with multiplicity) per component of a graph
     of max degree <= 2, indexed by the component's smallest vertex (other
     entries are 0), each component checked to be a path or a cycle (loops
     are 1-cycles, double edges 2-cycles)."""
-    root = _component_roots(g)
-    vertices = np.bincount(root)
+    vertices = np.bincount(root, minlength=len(root))
     # an edge lies in the component of its endpoints
-    edges = np.bincount(root[g._tails()], minlength=len(vertices))
+    edges = np.bincount(root[g._tails()], minlength=len(root))
     # a connected component has e >= v - 1, so e <= v leaves a path or a cycle
     if np.count_nonzero(edges > vertices):
         raise AssertionError("degree-2 component with unexpected edge count")
     return vertices, edges
 
 
+def _independence_roots(root: np.ndarray, g: Multigraph) -> np.ndarray:
+    # (v + 1) // 2 on a path (e = v - 1), v // 2 on a cycle (e = v)
+    v, e = _degree_two_arrays(root, g)
+    return (v + v - e) // 2     # (2v - e) // 2, without a scalar product
+
+
+def _max_cut_roots(root: np.ndarray, g: Multigraph) -> np.ndarray:
+    # every edge crosses, except one on each odd cycle: (e == v) & e is 1
+    # exactly on a cycle (e = v) of odd length
+    v, e = _degree_two_arrays(root, g)
+    return e - ((e == v) & e)
+
+
+def _root_sum(g: Multigraph, rule) -> int:
+    return int(np.add.reduce(rule(_component_roots(g), g)))
+
+
+def num_components(g: Multigraph) -> int:
+    """Number of connected components; isolated vertices count, loops and
+    parallel edges are connectivity-neutral."""
+    # the sum of the 0/1 marks, counted
+    return int(np.count_nonzero(_root_marks(_component_roots(g), g)))
+
+
+def neg_num_components(g: Multigraph) -> int:
+    return -num_components(g)
+
+
 def _independence_degree_two(g: Multigraph) -> int:
-    # (2v - e) // 2 per component: (v + 1) // 2 on a path (e = v - 1), v // 2
-    # on a cycle (e = v); summed, (2n - m - #{components with e odd}) / 2
-    _, e = _degree_two_arrays(g)
-    return (2 * g.n - g.num_edges - int(np.count_nonzero(e % 2))) // 2
+    return _root_sum(g, _independence_roots)
 
 
 def _max_cut_degree_two(g: Multigraph) -> int:
-    # every edge crosses, except one on each odd cycle
-    v, e = _degree_two_arrays(g)
-    return g.num_edges - int(np.count_nonzero(e[e == v] % 2))
+    return _root_sum(g, _max_cut_roots)
 
 
 def _branch_bound_alpha(adj, mask: int, size: int = 0, best: int = 0) -> int:
@@ -628,6 +670,46 @@ def parameter_from_name(name: str, beta: float | None = None,
             raise ValueError("potts requires --q and --beta")
         return potts_parameter(q, beta)
     raise ValueError(f"unknown parameter {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# many graphs at once
+
+# per-root rules of the component-additive evaluators, and whether the rule
+# holds only on graphs of max degree <= 2
+_PER_ROOT = ((independence_number, _independence_roots, True),
+             (max_cut, _max_cut_roots, True),
+             (num_components, _root_marks, False),
+             (neg_num_components, _negated_root_marks, False))
+
+
+def evaluate_many(f: GraphParameter, graphs) -> list:
+    """``[f.evaluate(g) for g in graphs]``, with the same types and values.
+
+    For a component-additive evaluator (``num_components``,
+    ``neg_num_components``, and ``independence_number`` and ``max_cut``
+    when every graph has max degree <= 2) on two or more array-held graphs
+    with the same n >= 1, one components pass runs over the graphs'
+    disjoint union, and each graph's value is the sum of the evaluator's
+    per-root values over its block of vertices.  Everything else, a wrapped
+    evaluator included, is evaluated graph by graph.
+    """
+    graphs = list(graphs)
+    found = next(((rule, degree_two) for known, rule, degree_two in _PER_ROOT
+                  if f.evaluate is known), None)
+    n = graphs[0].n if graphs else 0
+    if (found is None or len(graphs) < 2 or n == 0
+            or any(not isinstance(g, _ArrayMultigraph) or g.n != n
+                   for g in graphs)):
+        return [f.evaluate(g) for g in graphs]
+    rule, degree_two = found
+    union = Multigraph(n * len(graphs),
+                       np.concatenate([g.ends + n * k
+                                       for k, g in enumerate(graphs)]))
+    if degree_two and union.max_degree() > 2:
+        return [f.evaluate(g) for g in graphs]
+    values = rule(_component_roots(union), union)
+    return values.reshape(len(graphs), n).sum(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,37 @@ def test_interp_verify_sweep_stdout_needs_no_records(runner, tmp_path, params):
     assert "min_slack=" in plain.output
 
 
+def test_interp_verify_sweep_streams_csv_rows(runner, tmp_path, monkeypatch):
+    # each CSV row is written as the sweep delivers its record: by the last
+    # record most of the file is on disk, though run_sweep has not returned
+    out = tmp_path / "sweep.csv"
+    on_disk = []
+    real = interpolation.run_sweep
+
+    def spy(*args, on_record, **kwargs):
+        def record(v):
+            on_record(v)
+            on_disk.append(out.stat().st_size if out.exists() else 0)
+        return real(*args, on_record=record, **kwargs)
+
+    monkeypatch.setattr(interpolation, "run_sweep", spy)
+    result = invoke(runner, "interp-verify", "--sweep",
+                    "--max-total-degree", 6, "--max-vertices", 3,
+                    "--param", "independence", "--seed", 7, "--output", out)
+    assert result.exit_code == 0
+    size = out.stat().st_size
+    assert len(on_disk) > 1000 and on_disk[-1] > size // 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_interp_verify_sweep_input_error_writes_no_file(runner, tmp_path, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    result = invoke(runner, "interp-verify", "--sweep", "--max-vertices", 0,
+                    "--seed", 7, "--output", out, "--format", fmt)
+    assert result.exit_code == 2
+    assert not out.exists()
+
+
 def test_interp_verify_hidden_phi_factor_forces_failure(runner, monkeypatch):
     monkeypatch.setattr(interpolation, "PENALTY_FACTOR", 0.01)
     result = invoke(runner, "interp-verify", "--sweep",

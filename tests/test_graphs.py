@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import pickle
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphlimits import graphs
-from graphlimits.config_model import sample_uniform_graph
+from graphlimits.config_model import _is_simple, sample_uniform_graph
 from graphlimits.degree import DegreeDistribution, sample_iid
 from graphlimits.graphs import (
     INDEPENDENCE,
@@ -25,6 +26,7 @@ from graphlimits.graphs import (
     _max_cut_degree_two,
     _simple_adjacency,
     certify_parameter,
+    evaluate_many,
     increment_matrix,
     independence_number,
     is_cnd,
@@ -280,6 +282,70 @@ def test_array_graph_rejects_bad_edges():
         Multigraph(4, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="must be"):
         Multigraph(4, np.array([1, 2, 3]))
+
+
+def test_array_graph_rejects_bad_edges_at_construction():
+    # the messages of the eager canonical sort, raised before any access
+    for bad, message in (
+            (np.array([(1, 2), (2, 5)]), "edge (2, 5) outside 1..4"),
+            (np.array([(0, 1)]), "edge (0, 1) outside 1..4"),
+            (np.array([[1.0, 2.0]]),
+             "edge array must be (m, 2) integers, got float64 of shape (1, 2)"),
+            (np.array([1, 2, 3]),
+             "edge array must be (m, 2) integers, got int64 of shape (3,)")):
+        with pytest.raises(ValueError) as err:
+            Multigraph(4, bad)
+        assert str(err.value) == message
+
+
+@settings(max_examples=200)
+@given(endpoint_lists(), st.booleans())
+def test_lazy_array_graph_matches_pair_graph(case, sorted_first):
+    # the canonical order is built on first access, or after a pickle round
+    # trip; either way the graph is the pair-built one
+    n, pairs = case
+    given_ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    by_pairs = Multigraph(n, tuple(pairs))
+    by_array = Multigraph(n, given_ends)
+    assert np.array_equal(by_array.ends, given_ends)
+    if sorted_first:
+        assert by_array.edges == by_pairs.edges
+    canonical = [(min(e), max(e)) for e in pairs]
+    simple = (len(set(canonical)) == len(canonical)
+              and all(i != j for i, j in canonical))
+    for g in (by_array, pickle.loads(pickle.dumps(by_array))):
+        assert type(g) is type(by_array) and isinstance(g, Multigraph)
+        assert g == by_pairs and by_pairs == g and g == by_array
+        assert hash(g) == hash(by_pairs)
+        assert g.edges == by_pairs.edges and g.to_text() == by_pairs.to_text()
+        assert g.num_edges == len(pairs) and g.degrees() == by_pairs.degrees()
+        assert np.array_equal(g.edge_array,
+                              np.array(by_pairs.edges, dtype=np.int64).reshape(-1, 2))
+        assert _is_simple(g) == simple
+    if pairs:
+        with pytest.raises(ValueError):
+            by_array.ends[0, 0] = 1
+
+
+def test_sampled_graph_is_evaluated_without_sorting(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("canonical sort during evaluation")
+
+    monkeypatch.setattr(graphs, "_canonical_array", refuse)
+    rng = np.random.default_rng(19)
+    low = [sample_uniform_graph(sample_iid(DegreeDistribution({0: .2, 1: .3, 2: .5}),
+                                           300, rng), rng) for _ in range(3)]
+    cubic = sample_uniform_graph([3] * 300, rng)
+    for g in (*low, cubic):
+        g.degrees(), g.max_degree(), g.num_edges
+        num_components(g), graphs.neg_num_components(g)
+    for g in low:
+        independence_number(g), max_cut(g)
+    for param in (INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, POS_COMPONENTS):
+        evaluate_many(param, low)
+    evaluate_many(NEG_COMPONENTS, [cubic, cubic])
+    monkeypatch.undo()
+    assert cubic.edges == Multigraph(300, cubic.edges).edges
 
 
 def test_large_array_graph_matches_networkx_and_pair_graph():
@@ -713,6 +779,101 @@ def test_isomorphism_invariance():
                                  for i, j in g.edges])
             for p, v in zip(params, values):
                 assert p.evaluate(h) == pytest.approx(v, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# many graphs at once
+
+FAMILIES = (INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, POS_COMPONENTS)
+
+
+@st.composite
+def same_size_batches(draw):
+    """Two to five array-held graphs on one n in 1..12, each from a random
+    stub pairing with degrees up to a cap of 1, 2 or 3: loops, parallel
+    edges, isolated vertices and n = 1 all reachable."""
+    n = draw(st.integers(1, 12))
+    cap = draw(st.integers(1, 3))
+    batch = []
+    for _ in range(draw(st.integers(2, 5))):
+        degrees = draw(st.lists(st.integers(0, cap), min_size=n, max_size=n))
+        stubs = draw(st.permutations([v for v, d in enumerate(degrees, 1)
+                                      for _ in range(d)]))
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        batch.append(Multigraph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)))
+    return batch
+
+
+def assert_evaluated_one_by_one(param, batch):
+    expected = [param.evaluate(g) for g in batch]
+    got = evaluate_many(param, batch)
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+@settings(max_examples=300)
+@given(same_size_batches())
+def test_evaluate_many_matches_one_by_one(batch):
+    for param in FAMILIES:
+        assert_evaluated_one_by_one(param, batch)
+
+
+@pytest.fixture
+def component_passes(monkeypatch):
+    calls = []
+    roots = graphs._component_roots
+
+    def record(g):
+        calls.append(g.n)
+        return roots(g)
+
+    monkeypatch.setattr(graphs, "_component_roots", record)
+    return calls
+
+
+@pytest.mark.parametrize("param", FAMILIES)
+def test_evaluate_many_makes_one_components_pass(param, component_passes):
+    rng = np.random.default_rng(23)
+    batch = [sample_uniform_graph([2] * 50 + [1] * 10 + [0] * 5, rng)
+             for _ in range(7)]
+    assert_evaluated_one_by_one(param, batch)
+    # seven passes one by one, then one over the union of 7 x 65 vertices
+    assert component_passes == [65] * 7 + [455]
+
+
+def test_evaluate_many_falls_back_one_by_one(component_passes):
+    rng = np.random.default_rng(29)
+    on_10 = [sample_uniform_graph([2] * 10, rng) for _ in range(3)]
+    wrapped = GraphParameter("wrapped", 1.0, lambda g: num_components(g))
+    cases = [
+        (NEG_COMPONENTS, [Multigraph(0, np.empty((0, 2), dtype=np.int64))] * 3),
+        (NEG_COMPONENTS, on_10[:1]),
+        (NEG_COMPONENTS, [Multigraph(10, g.edges) for g in on_10]),
+        (NEG_COMPONENTS, on_10 + [sample_uniform_graph([2] * 12, rng)]),
+        (wrapped, on_10),
+        (NEG_COMPONENTS, []),
+    ]
+    for param, batch in cases:
+        component_passes.clear()
+        assert_evaluated_one_by_one(param, batch)
+        # one pass per graph and per evaluation: never a union
+        assert component_passes == [g.n for g in batch] * 2
+    # spin parameters are not component rules
+    assert_evaluated_one_by_one(ising_parameter(0.5), on_10[:2])
+
+
+def test_evaluate_many_solves_degree_three_graphs_one_by_one(component_passes):
+    rng = np.random.default_rng(31)
+    for n in (8, 40):
+        batch = [sample_uniform_graph([3] * (n - 2) + [2, 2], rng),
+                 sample_uniform_graph([2] * n, rng)]
+        component_passes.clear()
+        for param in (INDEPENDENCE, MAX_CUT) if n <= 24 else (INDEPENDENCE,):
+            assert_evaluated_one_by_one(param, batch)
+        assert 2 * n not in component_passes
+    big = [sample_uniform_graph([3] * 42, rng) for _ in range(2)]
+    with pytest.raises(ValueError, match="n=42 > 40"):
+        evaluate_many(INDEPENDENCE, big)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlimits import interpolation
-from graphlimits.limits import Verdict, mean_stderr, replicate
+from graphlimits import interpolation, seeding
+from graphlimits.limits import Verdict, mean_stderr
 from graphlimits.config_model import (
     Bipartition,
     HalfEdgeSystem,
@@ -59,6 +59,15 @@ INST22 = InterpolationInstance(SYS22, BP22, INDEPENDENCE)
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def replicate(fn, reps: int, rng: np.random.Generator) -> np.ndarray:
+    """``[fn(rep_stream(root, i)) for i in range(reps)]`` as an array, with
+    one root forked from ``rng``."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    root = seeding.fork_root(rng)
+    return np.array([fn(seeding.rep_stream(root, i)) for i in range(reps)])
 
 
 def _class_value(inst: InterpolationInstance, counts: PairingCounts,

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from graphlimits import limits, seeding
 from graphlimits.cli import _write_records
-from graphlimits.degree import DegreeDistribution
+from graphlimits.config_model import sample_uniform_graph
+from graphlimits.degree import DegreeDistribution, sample_iid
 from graphlimits.graphs import (
     INDEPENDENCE,
     MAX_CUT,
@@ -235,6 +237,70 @@ def test_empty_degree_sequence_is_the_empty_graph(param):
     assert expected_parameter(param, ()) == 0
     values = graph_values(param, (), 0, 4, np.random.default_rng(0))
     assert values.tolist() == [0.0] * 4
+
+
+# ---------------------------------------------------------------------------
+# shares of replications
+
+
+def values_one_by_one(param, source, n, reps, rng):
+    """The replication map graph_values shares out: replication i samples
+    from substream i of one forked root and is evaluated on its own."""
+    root = seeding.fork_root(rng)
+    values = []
+    for i in range(reps):
+        stream = seeding.rep_stream(root, i)
+        d = (sample_iid(source, n, stream)
+             if isinstance(source, DegreeDistribution) else source)
+        values.append(float(param.evaluate(sample_uniform_graph(d, stream))))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("param, source, n", [
+    (INDEPENDENCE, DegreeDistribution({0: 0.1, 1: 0.4, 2: 0.5}), 60),
+    (MAX_CUT, (2,) * 30 + (1,) * 10, 40),
+    (NEG_COMPONENTS, D3, 50),
+    (ising_parameter(0.5), (2,) * 8, 8),
+])
+def test_graph_values_do_not_depend_on_shares_or_workers(param, source, n,
+                                                         monkeypatch):
+    reps = 16
+    expected = values_one_by_one(param, source, n, reps,
+                                 np.random.default_rng(41))
+    for size in (1, 2, 7, reps):
+        monkeypatch.setattr(limits, "VERTEX_BUDGET", size * n)
+        for workers in (1, 2, 3):
+            got = graph_values(param, source, n, reps,
+                               np.random.default_rng(41), workers)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, expected), (size, workers)
+
+
+def test_graph_values_share_sizes(monkeypatch):
+    counts = []
+    pmap = limits.pmap
+
+    def record(fn, count, workers=1):
+        counts.append(count)
+        return pmap(fn, count, workers)
+
+    monkeypatch.setattr(limits, "pmap", record)
+    rng = np.random.default_rng(0)
+    # at most 2^14 // n graphs, and with several workers about two shares
+    # each: the README psi command's sizes, then one graph per share
+    for n, workers in ((500, 1), (500, 2), (2000, 2), (200_000, 1)):
+        graph_values(NEG_COMPONENTS, D2, n, 50 if n < 10_000 else 2, rng,
+                     workers)
+    assert counts == [2, 4, 7, 2]
+
+
+@pytest.mark.parametrize("source", [(3,) * 50, D3])
+def test_graph_values_name_the_failing_size(source):
+    # degree-3 graphs above the branch-and-bound limit fail as one graph does
+    with pytest.raises(ValueError,
+                       match=r"^parameter independence failed at n=50: "
+                             r"instance too large for exact solver: n=50 > 40$"):
+        graph_values(INDEPENDENCE, source, 50, 6, np.random.default_rng(1), 2)
 
 
 # ---------------------------------------------------------------------------
