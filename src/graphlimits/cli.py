@@ -126,31 +126,40 @@ def _write_records(output, fmt: str, kind: str, records, envelope=None):
 @contextlib.contextmanager
 def _streamed_records(output, fmt: str, kind: str):
     """Yield an ``on_record`` callback that writes records as
-    :func:`_write_records` would, or None without ``output``.  CSV rows are
-    written as they arrive, so no record is kept; JSON is one document, so
-    its records are kept and written at the end.  The CSV file is opened at
-    the first record (at the end if none came), so an input error raised
-    before any record leaves no file, as with :func:`_write_records`."""
-    if output is None or fmt == "json":
-        records = []
-        yield records.append if output else None
-        _write_records(output, fmt, kind, records)
+    :func:`_write_records` would, or None without ``output``.  Each record
+    is written as it arrives, so none is kept: a CSV row, or an element of
+    the JSON list indented as ``json.dumps(rows, indent=2, sort_keys=True)``
+    indents it.  The file is opened at the first record (at the end if none
+    came), so an input error raised before any record leaves no file, as
+    with :func:`_write_records`."""
+    if output is None:
+        yield None
         return
-    columns = [(name, get) for name, _, get in _COLUMNS[kind] if name]
-    writer = None
+    columns = _COLUMNS[kind]
+    fh = writer = None
     with contextlib.ExitStack() as files:
 
         def write(record):
-            nonlocal writer
-            if writer is None:
-                writer = csv.writer(files.enter_context(
-                    open(output, "w", newline="")))
-                writer.writerow([name for name, _ in columns])
-            writer.writerow([get(record) for _, get in columns])
+            nonlocal fh, writer
+            first = fh is None
+            if first:
+                fh = files.enter_context(open(output, "w", newline=""))
+            if fmt == "json":
+                row = {key: get(record) for _, key, get in columns if key}
+                text = json.dumps(row, indent=2, sort_keys=True)
+                fh.write(("[" if first else ",") + "\n  "
+                         + text.replace("\n", "\n  "))
+                return
+            if first:
+                writer = csv.writer(fh)
+                writer.writerow([name for name, _, _ in columns if name])
+            writer.writerow([get(record) for name, _, get in columns if name])
 
         yield write
-        if writer is None:
+        if fh is None:
             _write_records(output, fmt, kind, [])
+        elif fmt == "json":
+            fh.write("\n]\n")
 
 
 def _finish(line: str, slack: float, ok: bool):

@@ -524,6 +524,59 @@ def potts_model(q: int, beta: float) -> SpinModel:
 _CHUNK = 1 << 16
 
 
+def _spin_digits(q: int, n: int) -> np.ndarray:
+    """(n, q^n) table: entry [v, x] is vertex v's spin in the state with
+    flat index x = sum_v s_v q^v, in the smallest dtype that holds q^2,
+    so also each flat index s * q + t of a q x q table."""
+    return np.indices((q,) * n, np.min_scalar_type(q * q)).reshape(
+        n, q ** n)[::-1]
+
+
+def _log_weight_rows(graphs: list, model: SpinModel) -> np.ndarray:
+    """Log state weights of graphs with one vertex count n, given in order
+    of edge count, most first, as a (len(graphs), q^n) array in the flat
+    order of :func:`_log_weight_slabs`.
+
+    Each state's sum takes the additions it takes there, in the same order:
+    0.0, the vertex weights (unless h is all 1), then each edge of its
+    graph in ``edges`` order.  Each term is gathered from the spin digits,
+    so besides the rows only one index array per edge is held.
+    """
+    q, n, states = model.q, graphs[0].n, model.q ** graphs[0].n
+    spins = _spin_digits(q, n)
+    rows = np.zeros((len(graphs), states))
+    if set(model.h) != {1.0}:
+        log_h = np.log(model.h)
+        for v in range(n):
+            rows += log_h[spins[v]]
+    counts = np.array([g.num_edges for g in graphs])
+    if not counts.any():
+        return rows
+    # the graphs with a k-th edge are a prefix; edge (i, j) adds
+    # log J(s_i, s_j), at flat index s_i * q + s_j
+    ends = np.zeros((len(graphs), counts[0], 2), np.intp)
+    ends[np.arange(counts[0]) < counts[:, None]] = np.array(
+        [e for g in graphs for e in g.edges]) - 1
+    log_J, tails = np.log(model.J).ravel(), spins * q
+    index = np.empty(rows.shape, np.intp)   # numpy gathers fastest by intp
+    for k in range(counts[0]):
+        m = np.count_nonzero(counts > k)
+        np.add(tails[ends[:m, k, 0]], spins[ends[:m, k, 1]], out=index[:m])
+        rows[:m] += log_J[index[:m]]
+    return rows
+
+
+def _log_partition_rows(graphs: list, model: SpinModel) -> list:
+    """:func:`log_partition` of graphs as :func:`_log_weight_rows` takes
+    them, at most ``_CHUNK`` states in all; a row is one window, so the
+    values are bit-identical to the slab path's."""
+    rows = _log_weight_rows(graphs, model)
+    top = rows.max(axis=1)
+    rows -= top[:, None]
+    sums = np.exp(rows, out=rows).sum(axis=1)
+    return [m + math.log(s) for m, s in zip(top.tolist(), sums.tolist())]
+
+
 def _log_weight_slabs(g: Multigraph, model: SpinModel, limit: int = _CHUNK):
     """Yield g's log state weights, in the flat order sum_v s_v q^v, as
     (q,)*r slabs of at most ``limit`` states: vertex v's spin lies on axis
@@ -569,7 +622,8 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
     edges taken with multiplicity and loops contributing J(s_i, s_i).  The
     broadcast slabs of :func:`_log_weight_slabs` keep a call to a few MB for
     any q^n; the sum is taken in log space with a max shift per window of
-    ``_CHUNK`` consecutive states.
+    ``_CHUNK`` consecutive states.  :func:`evaluate_many` enumerates small
+    graphs in batches instead, with the same bits.
     """
     left, shifts, sums, flat = model.q ** g.n, [], [], np.empty(0)
     for logw in _log_weight_slabs(g, model):
@@ -584,6 +638,27 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
         flat = flat[end:]
     top = max(shifts)
     return top + math.log(sum(s * math.exp(m - top) for m, s in zip(shifts, sums)))
+
+
+def _spin_increment_rows(graphs: list, model: SpinModel) -> np.ndarray:
+    """:func:`_spin_increments` of graphs as :func:`_log_weight_rows` takes
+    them (n >= 1), at most ``_CHUNK >> 4`` states in all, as a
+    (len(graphs), n, n) array; the pair marginals of every graph come from
+    one stacked product of its weights with the one-hot spin table of n."""
+    q, n = model.q, graphs[0].n
+    rows = _log_weight_rows(graphs, model)
+    rows -= rows.max(axis=1, keepdims=True)
+    w = np.exp(rows, out=rows)
+    onehot = (_spin_digits(q, n).T[:, :, None] == np.arange(q)).reshape(
+        q ** n, n * q)
+    # pairs[x, i, s, j, t]: the weight of graph x's states with s_i = s, s_j = t
+    pairs = ((onehot.T * w[:, None, :]) @ onehot).reshape(len(graphs), n, q,
+                                                          n, q)
+    # vertex 1's diagonal block sums to the total weight
+    total = np.einsum("xaa->x", pairs[:, 0, :, 0, :])
+    inc = np.log(np.einsum("xiajb,ab->xij", pairs, model.J)
+                 / total[:, None, None])
+    return (inc + inc.transpose(0, 2, 1)) / 2
 
 
 def _spin_increments(g: Multigraph, model: SpinModel) -> np.ndarray:
@@ -683,18 +758,72 @@ _PER_ROOT = ((independence_number, _independence_roots, True),
              (neg_num_components, _negated_root_marks, False))
 
 
+def _bound_model(evaluate) -> SpinModel | None:
+    """The model of ``log_partition`` bound by keyword, as
+    :func:`spin_parameter` binds it; None for any other evaluator."""
+    if getattr(evaluate, "func", None) is not log_partition:
+        return None
+    return evaluate.keywords.get("model")
+
+
+def _batched(items: list, key: Callable, batch: Callable, one=None,
+             cap=None, rank=None) -> list:
+    """Results for ``items``, in input order.  Items whose ``key`` is None
+    go to ``one`` one at a time, in input order; the others, grouped by
+    key and each group sorted by ``rank`` (stably, if given), go to
+    ``batch`` in lists of at most ``cap(key)`` items (a whole group without
+    ``cap``), and ``batch`` returns one result per item."""
+    out, groups = [None] * len(items), {}
+    for k, item in enumerate(items):
+        group = key(item)
+        if group is None:
+            out[k] = one(item)
+        else:
+            groups.setdefault(group, []).append(k)
+    for group, ks in groups.items():
+        if rank:
+            ks.sort(key=lambda k: rank(items[k]))
+        step = cap(group) if cap else len(ks)
+        for lo in range(0, len(ks), step):
+            part = ks[lo:lo + step]
+            for k, value in zip(part, batch([items[k] for k in part])):
+                out[k] = value
+    return out
+
+
+def _spin_batches(graphs: list, model: SpinModel, limit: int,
+                  batch: Callable, one: Callable) -> list:
+    """``batch(graphs, model)`` over batches of graphs with one vertex count
+    n >= 1 and at most ``limit`` states in all, in order of edge count,
+    most first; ``one(g)`` for n = 0 and for graphs that would fill a batch
+    alone (2 q^n > limit), which are faster on the slab path."""
+    q = model.q
+    return _batched(
+        graphs, lambda g: g.n if g.n and 2 * q ** g.n <= limit else None,
+        partial(batch, model=model), one, lambda n: limit // q ** n,
+        lambda g: -g.num_edges)
+
+
 def evaluate_many(f: GraphParameter, graphs) -> list:
     """``[f.evaluate(g) for g in graphs]``, with the same types and values.
 
-    For a component-additive evaluator (``num_components``,
-    ``neg_num_components``, and ``independence_number`` and ``max_cut``
-    when every graph has max degree <= 2) on two or more array-held graphs
-    with the same n >= 1, one components pass runs over the graphs'
-    disjoint union, and each graph's value is the sum of the evaluator's
-    per-root values over its block of vertices.  Everything else, a wrapped
-    evaluator included, is evaluated graph by graph.
+    For ``log_partition`` bound to a model, graphs with the same n are
+    enumerated together as the rows of one array (see
+    :func:`_log_partition_rows`), at most ``_CHUNK`` states per array, and
+    larger graphs one by one.  For a component-additive evaluator
+    (``num_components``, ``neg_num_components``, and
+    ``independence_number`` and ``max_cut`` when every graph has max
+    degree <= 2) on two or more array-held graphs with the same n >= 1, one
+    components pass runs over the graphs' disjoint union, and each graph's
+    value is the sum of the evaluator's per-root values over its block of
+    vertices.  Everything else, a wrapped evaluator included, is evaluated
+    graph by graph.
     """
     graphs = list(graphs)
+    model = _bound_model(f.evaluate)
+    if model is not None:
+        return _spin_batches(graphs, model, _CHUNK, _log_partition_rows,
+                             f.evaluate)
     found = next(((rule, degree_two) for known, rule, degree_two in _PER_ROOT
                   if f.evaluate is known), None)
     n = graphs[0].n if graphs else 0
@@ -772,8 +901,9 @@ def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
     included, is evaluated on g and on each G + ij.
     """
     evaluate = f.evaluate
-    if g.n and getattr(evaluate, "func", None) is log_partition:
-        return _spin_increments(g, *evaluate.args, **evaluate.keywords)
+    model = _bound_model(evaluate)
+    if g.n and model is not None:
+        return _spin_increments(g, model)
     one_solve = next((inc for known, inc in _ONE_SOLVE if evaluate is known),
                      None)
     if g.n and one_solve:
@@ -781,26 +911,63 @@ def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
     return _evaluated_increments(evaluate, g)
 
 
-def is_cnd(m) -> bool:
-    """Whether the quadratic form of m is <= CND_TOL on the sum-zero
-    subspace.
+def _increments_many(f: GraphParameter, graphs: list) -> list:
+    """``[increment_matrix(f, g) for g in graphs]``, to rounding; for
+    ``log_partition`` bound to a model, graphs with the same n >= 1 share
+    one :func:`_spin_increment_rows` call, at most ``_CHUNK >> 4`` states
+    per call, and give the same bits as one by one."""
+    model = _bound_model(f.evaluate)
+    if model is None:
+        return [increment_matrix(f, g) for g in graphs]
+    return _spin_batches(graphs, model, _CHUNK >> 4, _spin_increment_rows,
+                         partial(increment_matrix, f))
 
-    Projects with P = I - 11^T/n and tests the top eigenvalue of P m P.
-    """
+
+def _cnd_tops(m) -> np.ndarray:
+    """The top eigenvalue of P m P, P = I - 11^T/n, of a matrix (a 0-d
+    array) or of each matrix of a (k, n, n) stack (-inf where n = 0, whose
+    sum-zero subspace is {0}); bad input raises as :func:`is_cnd` says."""
     values = np.asarray(m, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+    if values.ndim not in (2, 3) or values.shape[-1] != values.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.isfinite(values).all():
-        raise ValueError("matrix entries must be finite")
-    if np.abs(values - values.T).max(initial=0.0) > _SYMMETRY_TOL:
-        raise ValueError("matrix must be symmetric")
-    n = values.shape[0]
-    if n == 0:      # the sum-zero subspace of R^0 is {0}
-        return True
+    if not (np.isfinite(values).all() and np.abs(
+            values - values.swapaxes(-1, -2)).max(initial=0.0) <= _SYMMETRY_TOL):
+        stack = values if values.ndim == 3 else values[None]
+        for k, matrix in enumerate(stack):      # name the first bad one
+            if not np.isfinite(matrix).all():
+                message = "matrix entries must be finite"
+            elif np.abs(matrix - matrix.T).max(initial=0.0) > _SYMMETRY_TOL:
+                message = "matrix must be symmetric"
+            else:
+                continue
+            raise ValueError(message if values.ndim == 2
+                             else f"{message} (matrix {k} of the stack)")
+    n = values.shape[-1]
+    if n == 0:
+        return np.full(values.shape[:-2], -np.inf)
     proj = np.eye(n) - np.full((n, n), 1.0 / n)
     projected = proj @ values @ proj
-    top = float(np.linalg.eigvalsh((projected + projected.T) / 2)[-1])
-    return top <= CND_TOL
+    return np.linalg.eigvalsh(
+        (projected + projected.swapaxes(-1, -2)) / 2)[..., -1]
+
+
+def _stacked_cnd_tops(matrices: list) -> list:
+    """``_cnd_tops(m)`` for each matrix, one stacked call per shape."""
+    return _batched(matrices, lambda m: m.shape,
+                    lambda ms: _cnd_tops(np.stack(ms)))
+
+
+def is_cnd(m):
+    """Whether the quadratic form of m is <= CND_TOL on the sum-zero
+    subspace; for a (k, n, n) stack of matrices, an array of k verdicts.
+
+    Projects with P = I - 11^T/n and tests the top eigenvalue of P m P, one
+    projection and one ``eigvalsh`` call for a whole stack.  A matrix that
+    is not square, not finite or not symmetric (beyond 1e-12) raises
+    ``ValueError``, which names the first such matrix of a stack.
+    """
+    verdicts = _cnd_tops(m) <= CND_TOL
+    return bool(verdicts) if verdicts.ndim == 0 else verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -824,6 +991,11 @@ class CertificationReport:
     additive: PropertyCheck = field(default_factory=PropertyCheck)
     lipschitz: PropertyCheck = field(default_factory=PropertyCheck)
     concave: PropertyCheck = field(default_factory=PropertyCheck)
+    # slack over the checked samples, kept out of to_json: the least
+    # kappa - max |increment| and the largest top eigenvalue of P m P
+    # (see is_cnd); a failed property's last sample is its counterexample
+    lipschitz_margin: float = math.inf
+    max_cnd_eigenvalue: float = -math.inf
 
     @property
     def all_passed(self) -> bool:
@@ -856,11 +1028,21 @@ LIPSCHITZ_TOL = 1e-9
 CND_TOL = 1e-8
 
 
+# sample pairs drawn and evaluated together: a block's graphs, values and
+# increment matrices are held at once, so memory stays bounded in samples
+_CERTIFY_BLOCK = 1024
+
+
 def certify_parameter(f: GraphParameter, samples: int, nmax: int,
                       rng: np.random.Generator,
                       max_edges: int | None = None) -> CertificationReport:
     """Check additivity, the one-edge bound, and increment concavity on
     random multigraphs; the first counterexample per property is recorded.
+
+    Each sample is a pair of :func:`random_multigraph` draws.  Pairs are
+    drawn in blocks, and a block's values are computed in batches (see
+    :func:`_certify_block`); the report, and any error an evaluator
+    raises, are those of checking the samples one at a time.
     """
     if max_edges is None:
         max_edges = 2 * nmax
@@ -869,36 +1051,91 @@ def certify_parameter(f: GraphParameter, samples: int, nmax: int,
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
     report = CertificationReport(f.name, f.kappa, samples, nmax, max_edges)
-    for _ in range(samples):
-        g1 = random_multigraph(rng, nmax, max_edges)
-        g2 = random_multigraph(rng, nmax, max_edges)
+    for start in range(0, samples, _CERTIFY_BLOCK):
+        _certify_block(f, [(random_multigraph(rng, nmax, max_edges),
+                            random_multigraph(rng, nmax, max_edges))
+                           for _ in range(min(_CERTIFY_BLOCK,
+                                              samples - start))], report)
+    return report
 
+
+def _each(many: Callable, one: Callable, items: list) -> list:
+    """``many(items)``; if that raises, ``one(item)`` for each item in turn,
+    keeping in the item's place the exception it raises (an item that is
+    an exception stays in place), so that :func:`_read` raises it where
+    the value is needed."""
+    try:
+        return many(items)
+    except Exception:
+        out = []
+        for item in items:
+            try:
+                out.append(item if isinstance(item, Exception) else one(item))
+            except Exception as err:
+                out.append(err)
+        return out
+
+
+def _read(value):
+    """A value that :func:`_each` kept, raising it if it is an exception."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def _certify_block(f: GraphParameter, pairs: list,
+                   report: CertificationReport) -> None:
+    """Check the sample pairs (G1, G2) in order, as the samples after those
+    already in ``report``.
+
+    Values come in batches, for every pair that a property passing at the
+    block's start needs: f(G1 + G2), f(G1) and f(G2) through
+    :func:`evaluate_many`, whose spin rows enumerate G1 + G2 as one graph;
+    G1's increment matrices through :func:`_increments_many`; their top
+    projected eigenvalues in one stacked call per vertex count.
+    """
+    evaluate = partial(evaluate_many, f)
+    if report.additive.passed:
+        wholes = _each(evaluate, f.evaluate,
+                       [g1.disjoint_union(g2) for g1, g2 in pairs])
+        parts = _each(evaluate, f.evaluate, [g for pair in pairs for g in pair])
+    if report.lipschitz.passed or report.concave.passed:
+        incs = _each(partial(_increments_many, f), partial(increment_matrix, f),
+                     [g1 for g1, _ in pairs])
+    if report.concave.passed:
+        tops = _each(_stacked_cnd_tops, _cnd_tops, incs)
+
+    for k, (g1, g2) in enumerate(pairs):
         if report.additive.passed:
             report.additive.samples += 1
-            whole = f.evaluate(g1.disjoint_union(g2))
-            parts = f.evaluate(g1) + f.evaluate(g2)
-            if abs(whole - parts) > ADDITIVITY_TOL:
+            whole = _read(wholes[k])
+            parts_sum = _read(parts[2 * k]) + _read(parts[2 * k + 1])
+            if abs(whole - parts_sum) > ADDITIVITY_TOL:
                 report.additive.passed = False
                 report.additive.counterexample = (
-                    f"f(G1 + G2)={whole} vs f(G1)+f(G2)={parts}; "
+                    f"f(G1 + G2)={whole} vs f(G1)+f(G2)={parts_sum}; "
                     f"G1={g1.edges} n={g1.n}, G2={g2.edges} n={g2.n}")
 
-        needs_increments = report.lipschitz.passed or report.concave.passed
-        if needs_increments:
-            inc = increment_matrix(f, g1)
+        if report.lipschitz.passed or report.concave.passed:
+            inc = _read(incs[k])
 
         if report.lipschitz.passed:
             report.lipschitz.samples += 1
             worst = float(np.abs(inc).max()) if g1.n else 0.0
             if worst > f.kappa + LIPSCHITZ_TOL:
+                # quote G1's own matrix, which a batch's matches to rounding
+                worst = float(np.abs(increment_matrix(f, g1)).max())
                 report.lipschitz.passed = False
                 report.lipschitz.counterexample = (
                     f"|increment|={worst} > kappa={f.kappa}; G={g1.edges} n={g1.n}")
+            report.lipschitz_margin = min(report.lipschitz_margin,
+                                          f.kappa - worst)
 
         if report.concave.passed:
             report.concave.samples += 1
-            if not is_cnd(inc):
+            top = float(_read(tops[k]))
+            report.max_cnd_eigenvalue = max(report.max_cnd_eigenvalue, top)
+            if not top <= CND_TOL:
                 report.concave.passed = False
                 report.concave.counterexample = (
                     f"increment matrix not CND; G={g1.edges} n={g1.n}")
-    return report

@@ -191,6 +191,49 @@ def test_interp_verify_sweep_streams_csv_rows(runner, tmp_path, monkeypatch):
     assert len(on_disk) > 1000 and on_disk[-1] > size // 2
 
 
+def test_interp_verify_sweep_streams_json_rows(runner, tmp_path, monkeypatch):
+    # each JSON list element is written as the sweep delivers its record,
+    # and the file renders the list as json.dumps(indent=2) does
+    out = tmp_path / "sweep.json"
+    on_disk = []
+    real = interpolation.run_sweep
+
+    def spy(*args, on_record, **kwargs):
+        def record(v):
+            on_record(v)
+            on_disk.append(out.stat().st_size if out.exists() else 0)
+        return real(*args, on_record=record, **kwargs)
+
+    monkeypatch.setattr(interpolation, "run_sweep", spy)
+    result = invoke(runner, "interp-verify", "--sweep",
+                    "--max-total-degree", 6, "--max-vertices", 3,
+                    "--param", "independence", "--seed", 7, "--output", out,
+                    "--format", "json")
+    assert result.exit_code == 0
+    text = out.read_text()
+    rows = json.loads(text)
+    assert len(rows) == len(on_disk) > 1000
+    assert text == json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    assert on_disk[-1] > len(text) // 2
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_records_match_the_buffered_writer(tmp_path, fmt, count):
+    # nested details, floats, None and strings with quotes and newlines
+    from graphlimits.cli import _streamed_records, _write_records
+    from graphlimits.limits import Verdict
+    records = [Verdict.of(f'check "{k}"\nnext', 0.1 * k, 1 / 3, 0.0, seed=k,
+                          sizes=[k, k + 1], inner={"eps": 1e-300, "none": None})
+               for k in range(count)]
+    streamed, buffered = tmp_path / "streamed", tmp_path / "buffered"
+    with _streamed_records(streamed, fmt, "inequality") as on_record:
+        for r in records:
+            on_record(r)
+    _write_records(buffered, fmt, "inequality", records)
+    assert streamed.read_bytes() == buffered.read_bytes()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_interp_verify_sweep_input_error_writes_no_file(runner, tmp_path, fmt):
     out = tmp_path / f"sweep.{fmt}"

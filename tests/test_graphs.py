@@ -751,6 +751,72 @@ def test_log_partition_memory_is_bounded():
     assert value == pytest.approx(math.log((2 * math.cosh(0.5)) ** 20
                                            + (2 * math.sinh(0.5)) ** 20), abs=1e-9)
 
+def mixed_size_graphs(model, seed, count=60):
+    """Graphs of every n from 0 up to one past the largest the rows take
+    (2 q^n <= _CHUNK), with loops and parallel edges, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    top = max(n for n in range(40) if 2 * model.q ** n <= graphs._CHUNK) + 1
+    out = [Multigraph(0), Multigraph(top), Multigraph(top - 1, ((1, 1),)),
+           Multigraph(3, ((1, 2), (1, 2), (2, 2), (3, 3), (2, 3)))]
+    for _ in range(count):
+        n = int(rng.integers(0, top - 1)) if rng.uniform() < 0.9 else top
+        m = int(rng.integers(0, 2 * n + 1)) if n else 0
+        out.append(Multigraph(n, tuple(map(tuple, rng.integers(
+            1, n + 1, size=(m, 2)).tolist())) if n else ()))
+    return [out[k] for k in rng.permutation(len(out))]
+
+
+@pytest.fixture
+def row_batches(monkeypatch):
+    """(n, batch size) of each _log_partition_rows call, and the n of each
+    graph enumerated in slabs."""
+    calls = {"rows": [], "slab": []}
+    rows, slabs = graphs._log_partition_rows, graphs._log_weight_slabs
+
+    def record_rows(batch, model):
+        calls["rows"].append((batch[0].n, len(batch)))
+        return rows(batch, model)
+
+    def record_slabs(g, model, *limit):
+        calls["slab"].append(g.n)
+        return slabs(g, model, *limit)
+
+    monkeypatch.setattr(graphs, "_log_partition_rows", record_rows)
+    monkeypatch.setattr(graphs, "_log_weight_slabs", record_slabs)
+    return calls
+
+
+ROW_MODELS = BIT_IDENTITY_MODELS + [VERTEX_WEIGHTED]
+ROW_MODEL_IDS = ["ising0", "ising0.5", "ising2", "potts3", "potts5", "skewed",
+                 "weighted"]
+
+
+@pytest.mark.parametrize("model", ROW_MODELS, ids=ROW_MODEL_IDS)
+def test_batched_log_partitions_match_slabs_and_digits(model, row_batches):
+    gs = mixed_size_graphs(model, 31)
+    values = evaluate_many(graphs.spin_parameter(model, "spin"), gs)
+    rows, slab = row_batches["rows"][:], row_batches["slab"][:]
+    # bit-identical to the slab path, graph by graph
+    assert values == [log_partition(g, model) for g in gs]
+    assert all(type(v) is float for v in values)
+    for g, v in zip(gs, values):
+        if model.q ** g.n <= 3 ** 10:
+            expect = log_partition_digits(g, model)
+            if model is VERTEX_WEIGHTED:    # row sums in another order
+                assert v == pytest.approx(expect, rel=0, abs=1e-12)
+            else:
+                assert v == expect
+    # the rows took the graphs with n >= 1 that leave room for another in
+    # a batch, several to a call, and the slab path the others
+    for n, size in rows:
+        assert 0 < n and 2 * model.q ** n <= graphs._CHUNK
+        assert size * model.q ** n <= graphs._CHUNK
+    assert max(size for _, size in rows) > 1
+    assert sorted(slab) == sorted(g.n for g in gs if g.n == 0
+                                  or 2 * model.q ** g.n > graphs._CHUNK)
+    assert max(slab) > 0
+
+
 # ---------------------------------------------------------------------------
 # parameters as class members
 
@@ -1048,6 +1114,44 @@ def test_spin_increments_budget_message():
             "enumeration budget exceeded: 2^25 states > 16777216")
 
 
+@pytest.mark.parametrize("model", ROW_MODELS, ids=ROW_MODEL_IDS)
+def test_batched_spin_increments_match_the_pair_loop(model, monkeypatch):
+    # mixed n on both sides of the increments' rule (2 q^n <= _CHUNK >> 4),
+    # n = 0, loops and parallel edges
+    limit = graphs._CHUNK >> 4
+    top = max(n for n in range(40) if 2 * model.q ** n <= limit) + 1
+    rng = np.random.default_rng(32)
+    gs = [Multigraph(0), Multigraph(top, ((1, 1), (1, top), (1, top))),
+          Multigraph(2, ((1, 2), (1, 2), (2, 2)))]
+    gs += [random_multigraph(rng, top - 1, 2 * top) for _ in range(40)]
+    sizes, rows = [], graphs._spin_increment_rows
+    monkeypatch.setattr(graphs, "_spin_increment_rows", lambda batch, model: (
+        sizes.append((batch[0].n, len(batch))) or rows(batch, model)))
+    p = graphs.spin_parameter(model, "spin")
+    got = graphs._increments_many(p, gs)
+    assert all(size * model.q ** n <= limit for n, size in sizes)
+    assert max(size for _, size in sizes) > 1
+    for g, inc in zip(gs, got):
+        expect = increment_matrix(black_box(p), g)
+        assert inc.shape == expect.shape == (g.n, g.n)
+        assert np.abs(inc - expect).max(initial=0.0) <= 1e-12
+        # a graph's row gives the same bits in any batch
+        if g.n and 2 * model.q ** g.n <= limit:
+            alone = rows([g], model)[0]
+            assert inc.tobytes() == alone.tobytes()
+
+
+def test_batched_increments_of_other_evaluators_are_one_by_one(pair_loop_calls):
+    rng = np.random.default_rng(33)
+    gs = [random_multigraph(rng, 6, 8) for _ in range(20)]
+    for p in (INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, POS_COMPONENTS):
+        got = graphs._increments_many(p, gs)
+        for g, inc in zip(gs, got):
+            assert inc.tobytes() == increment_matrix(p, g).tobytes()
+    # only POS_COMPONENTS takes the pair loop, twice per graph
+    assert pair_loop_calls == gs + gs
+
+
 # ---------------------------------------------------------------------------
 # conditional negative semidefiniteness
 
@@ -1079,6 +1183,47 @@ def test_is_cnd_symmetry_tolerance():
     assert is_cnd(inside) and not is_cnd(-inside)
     with pytest.raises(ValueError, match="symmetric"):
         is_cnd(np.array([[0.0, 1.0], [1.0 + 1.1e-12, 0.0]]))
+
+
+def test_is_cnd_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(34)
+    for n in range(0, 7):
+        stack = []
+        for k in range(12):
+            m = _random_cnd(rng, n) if k % 2 else rng.normal(size=(n, n))
+            stack.append((m + m.T) / 2)
+        stack = np.array(stack).reshape(12, n, n)
+        verdicts = is_cnd(stack)
+        assert verdicts.dtype == bool and verdicts.shape == (12,)
+        assert verdicts.tolist() == [is_cnd(m) for m in stack]
+        # the stacked eigvalsh gives each matrix's top eigenvalue bit for bit
+        assert graphs._cnd_tops(stack).tolist() == [
+            float(graphs._cnd_tops(m)) for m in stack]
+    assert is_cnd(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def test_is_cnd_names_the_bad_matrix_of_a_stack():
+    stack = np.zeros((4, 2, 2))
+    asymmetric, infinite = stack.copy(), stack.copy()
+    asymmetric[2, 0, 1] = 1.0
+    infinite[1, 1, 0] = infinite[1, 0, 1] = np.inf
+    with pytest.raises(ValueError) as err:
+        is_cnd(asymmetric)
+    assert str(err.value) == "matrix must be symmetric (matrix 2 of the stack)"
+    with pytest.raises(ValueError) as err:
+        is_cnd(infinite)
+    assert str(err.value) == (
+        "matrix entries must be finite (matrix 1 of the stack)")
+    # the first bad matrix is named, with its own message
+    both = infinite.copy()
+    both[0] = asymmetric[2]
+    with pytest.raises(ValueError, match="^matrix must be symmetric .matrix 0 "):
+        is_cnd(both)
+    with pytest.raises(ValueError) as err:
+        is_cnd(np.zeros((3, 2, 3)))
+    assert str(err.value) == "matrix must be square"
+    with pytest.raises(ValueError, match="square"):
+        is_cnd(np.zeros((2, 2, 2, 2)))
 
 
 def _random_cnd(rng, n):
@@ -1224,6 +1369,158 @@ def test_certify_ferromagnetic_ising_is_not_concave():
     assert report.lipschitz.passed
     assert not report.concave.passed
     assert "not CND" in report.concave.counterexample
+
+
+def certify_per_sample(f, samples, nmax, rng, max_edges=None):
+    """The per-sample loop that certify_parameter replaced, as the oracle:
+    each pair is drawn, then evaluated, before the next is drawn."""
+    if max_edges is None:
+        max_edges = 2 * nmax
+    report = graphs.CertificationReport(f.name, f.kappa, samples, nmax,
+                                        max_edges)
+    for _ in range(samples):
+        g1 = random_multigraph(rng, nmax, max_edges)
+        g2 = random_multigraph(rng, nmax, max_edges)
+
+        if report.additive.passed:
+            report.additive.samples += 1
+            whole = f.evaluate(g1.disjoint_union(g2))
+            parts = f.evaluate(g1) + f.evaluate(g2)
+            if abs(whole - parts) > graphs.ADDITIVITY_TOL:
+                report.additive.passed = False
+                report.additive.counterexample = (
+                    f"f(G1 + G2)={whole} vs f(G1)+f(G2)={parts}; "
+                    f"G1={g1.edges} n={g1.n}, G2={g2.edges} n={g2.n}")
+
+        needs_increments = report.lipschitz.passed or report.concave.passed
+        if needs_increments:
+            inc = increment_matrix(f, g1)
+
+        if report.lipschitz.passed:
+            report.lipschitz.samples += 1
+            worst = float(np.abs(inc).max()) if g1.n else 0.0
+            if worst > f.kappa + graphs.LIPSCHITZ_TOL:
+                report.lipschitz.passed = False
+                report.lipschitz.counterexample = (
+                    f"|increment|={worst} > kappa={f.kappa}; G={g1.edges} n={g1.n}")
+
+        if report.concave.passed:
+            report.concave.samples += 1
+            if not is_cnd(inc):
+                report.concave.passed = False
+                report.concave.counterexample = (
+                    f"increment matrix not CND; G={g1.edges} n={g1.n}")
+    return report
+
+
+def _ferromagnetic_ising(beta):
+    lo, hi = math.exp(-beta), math.exp(beta)
+    return graphs.spin_parameter(
+        graphs.SpinModel(2, (1.0, 1.0), ((hi, lo), (lo, hi))), "ferro")
+
+
+# the certify workload's members, its negative control, the ferromagnetic
+# control and both understated-kappa controls
+BENCH_MEMBERS = [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, ising_parameter(0.0),
+                 ising_parameter(0.5), ising_parameter(2.0),
+                 potts_parameter(3, 1.0)]
+CERTIFY_CONTROLS = [
+    POS_COMPONENTS, _ferromagnetic_ising(0.5),
+    GraphParameter("independence", 0.5, independence_number),
+    dataclasses.replace(ising_parameter(2.0), kappa=1.5)]
+
+
+@pytest.mark.parametrize("block", [graphs._CERTIFY_BLOCK, 7])
+@pytest.mark.parametrize("param", BENCH_MEMBERS + CERTIFY_CONTROLS,
+                         ids=lambda p: f"{p.name}-{p.kappa:g}")
+def test_certify_reports_what_the_per_sample_loop_reports(param, block,
+                                                          monkeypatch):
+    # 7 pairs per block: every property's state carries across blocks
+    monkeypatch.setattr(graphs, "_CERTIFY_BLOCK", block)
+    for seed in range(3):
+        rngs = [np.random.default_rng([seed, 20]) for _ in range(2)]
+        ours = certify_parameter(param, 150, 6, rngs[0], max_edges=8)
+        theirs = certify_per_sample(param, 150, 6, rngs[1], max_edges=8)
+        assert ours.to_json() == theirs.to_json()
+        # every draw was made
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_certify_raises_where_the_per_sample_loop_raises():
+    # 70^4 states are over STATE_BUDGET: a union of two 2-vertex graphs
+    # raises
+    big = graphs.spin_parameter(potts_model(70, 1.0), "potts70")
+    for seed in range(3):
+        errors = []
+        for certify in (certify_parameter, certify_per_sample):
+            with pytest.raises(ValueError) as err:
+                certify(big, 20, 2, np.random.default_rng(seed), max_edges=2)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] == (
+            "enumeration budget exceeded: 70^4 states > 16777216")
+
+
+def _refusing(refuse, value):
+    """A black-box evaluator: ``value(g)``, or a ValueError that names g
+    where ``refuse(g)``."""
+    def evaluate(g):
+        if refuse(g):
+            raise ValueError(f"refused n={g.n} edges={g.edges}")
+        return value(g)
+    return evaluate
+
+
+@pytest.mark.parametrize("name,evaluate", [
+    # additive: the first union past 9 vertices raises
+    ("edges", _refusing(lambda g: g.n > 9, lambda g: g.num_edges)),
+    # not additive, so no union is evaluated after the first failure,
+    # though later unions past 10 vertices would raise
+    ("edges-squared", _refusing(lambda g: g.n > 10,
+                                lambda g: g.num_edges ** 2)),
+    # G1 + ij on 6 vertices and 9 edges raises in the increments, or such
+    # a union before additivity fails
+    ("edges-squared-9", _refusing(lambda g: (g.n, g.num_edges) == (6, 9),
+                                  lambda g: g.num_edges ** 2)),
+    # additive and Lipschitz, never raising: no error to defer
+    ("vertices", _refusing(lambda g: False, lambda g: g.n)),
+])
+def test_certify_raises_only_where_a_sample_needs_the_value(name, evaluate):
+    f = GraphParameter(name, 1.0, evaluate)
+    for seed in range(6):
+        outcomes = []
+        for certify in (certify_parameter, certify_per_sample):
+            try:
+                outcomes.append(certify(f, 40, 6, np.random.default_rng(seed),
+                                        max_edges=8).to_json())
+            except ValueError as err:
+                outcomes.append(f"raised {err!r}")
+        assert outcomes[0] == outcomes[1]
+
+
+def test_certify_slack_fields():
+    for param in BENCH_MEMBERS:
+        report = certify_parameter(param, 200, 6, np.random.default_rng(35),
+                                   max_edges=8)
+        assert report.all_passed
+        assert report.lipschitz_margin >= -graphs.LIPSCHITZ_TOL
+        assert report.lipschitz_margin <= param.kappa
+        # P m P always has the eigenvalue 0 on the all-ones vector
+        assert -1e-12 <= report.max_cnd_eigenvalue <= graphs.CND_TOL
+    control = certify_parameter(POS_COMPONENTS, 200, 6,
+                                np.random.default_rng(35), max_edges=8)
+    assert control.max_cnd_eigenvalue > graphs.CND_TOL
+    assert control.lipschitz_margin >= 0.0
+    for understated in CERTIFY_CONTROLS[2:]:
+        report = certify_parameter(understated, 200, 6,
+                                   np.random.default_rng(3), max_edges=8)
+        assert not report.lipschitz.passed
+        assert report.lipschitz_margin < 0
+        # the failing sample's |increment| is the one the counterexample quotes
+        quoted = float(report.lipschitz.counterexample.split("=")[1].split()[0])
+        assert report.lipschitz_margin == understated.kappa - quoted
+    # neither field is part of the JSON report
+    assert "margin" not in control.to_json()
+    assert "eigenvalue" not in control.to_json()
 
 
 def test_certification_report_json():
