@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -59,9 +60,14 @@ class Multigraph:
                                else cls)
 
     def __init__(self, n: int, edges=()):
-        normalized = []
+        normalized, index = [], operator.index
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            try:
+                i, j = e
+                i, j = index(i), index(j)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"edge {e!r} must be two integer endpoints") from None
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"edge ({i}, {j}) outside 1..{n}")
             normalized.append((i, j) if i <= j else (j, i))
@@ -112,7 +118,11 @@ class Multigraph:
 
     def add_edge(self, i: int, j: int) -> "Multigraph":
         """``Multigraph(n, edges + ((i, j),))``, checking only the new pair."""
-        i, j = int(i), int(j)
+        try:
+            i, j = operator.index(i), operator.index(j)
+        except TypeError:
+            raise ValueError(
+                f"edge {(i, j)!r} must be two integer endpoints") from None
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"edge ({i}, {j}) outside 1..{self.n}")
         k = bisect_right(self.edges, edge := (min(i, j), max(i, j)))
@@ -354,14 +364,6 @@ def neg_num_components(g: Multigraph) -> int:
     return -num_components(g)
 
 
-def _independence_degree_two(g: Multigraph) -> int:
-    return _root_sum(g, _independence_roots)
-
-
-def _max_cut_degree_two(g: Multigraph) -> int:
-    return _root_sum(g, _max_cut_roots)
-
-
 def _branch_bound_alpha(adj, mask: int, size: int = 0, best: int = 0) -> int:
     """Largest independent set among the vertices of ``mask``, plus
     ``size``, or ``best`` if that is larger.  A module-level recursion, not
@@ -397,7 +399,7 @@ def independence_number(g: Multigraph) -> int:
     if g.n == 0:
         return 0
     if g.max_degree() <= 2:
-        return _independence_degree_two(g)
+        return _root_sum(g, _independence_roots)
     if g.n > BRANCH_BOUND_LIMIT:
         raise ValueError(
             f"instance too large for exact solver: n={g.n} > {BRANCH_BOUND_LIMIT}")
@@ -416,7 +418,7 @@ def max_cut(g: Multigraph) -> int:
     if g.n == 0:
         return 0
     if g.max_degree() <= 2:
-        return _max_cut_degree_two(g)
+        return _root_sum(g, _max_cut_roots)
     if g.n > MAX_CUT_LIMIT:
         raise ValueError(
             f"instance too large for exact solver: n={g.n} > {MAX_CUT_LIMIT}")
@@ -466,6 +468,33 @@ def _max_cut_classes(g: Multigraph) -> list:
             classes = [part for c in classes for part in (c & mask, c & ~mask)
                        if part]
     return classes
+
+
+# one-solve increment matrices (n >= 1), declared by the families below
+# as their ``increments``
+
+
+def _independence_increments(g: Multigraph) -> np.ndarray:
+    # a loop at v costs one exactly when v lies in every maximum independent
+    # set, and an edge ij costs one exactly when both i and j do
+    alpha = independence_number(g)
+    core = np.array([alpha - independence_number(g.add_edge(v, v))
+                     for v in range(1, g.n + 1)])
+    return (-np.outer(core, core)).astype(float)
+
+
+def _max_cut_increments(g: Multigraph) -> np.ndarray:
+    # an edge ij adds one exactly when some maximum cut separates i and j
+    if g.n > MAX_CUT_LIMIT:     # the closed forms still serve sparse graphs
+        return _evaluated_increments(max_cut, g)
+    member = (np.array(_max_cut_classes(g))[:, None] >> np.arange(g.n)) & 1
+    return (1 - member.T @ member).astype(float)
+
+
+def _component_increments(g: Multigraph) -> np.ndarray:
+    # an edge ij removes a component exactly when it joins two
+    root = _component_roots(g)
+    return np.not_equal.outer(root, root).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -694,26 +723,47 @@ class GraphParameter:
 
     ``kappa`` is a valid Lipschitz constant for single-edge additions, not
     necessarily the least one.
+
+    The other fields declare the fast paths that a family's structure gives,
+    each set where the family is defined: ``model``, the :class:`SpinModel`
+    whose :func:`log_partition` ``evaluate`` computes; ``per_root``, the
+    pair (rule, degree_two) of the family's per-root rule and whether it
+    holds only on graphs of max degree <= 2; ``increments``, the increment
+    matrix of a graph with n >= 1 from one solve.  They describe
+    ``evaluate``, so ``dataclasses.replace(f, evaluate=wrapper)`` keeps
+    them.  A parameter built from a bare callable declares none, and is
+    evaluated graph by graph and pair by pair.
     """
 
     name: str
     kappa: float
     evaluate: Callable[[Multigraph], float]
+    model: SpinModel | None = None
+    per_root: tuple | None = None
+    increments: Callable[[Multigraph], np.ndarray] | None = None
 
     def __call__(self, g: Multigraph):
         return self.evaluate(g)
 
 
-INDEPENDENCE = GraphParameter("independence", 1.0, independence_number)
-MAX_CUT = GraphParameter("maxcut", 1.0, max_cut)
-NEG_COMPONENTS = GraphParameter("neg_components", 1.0, neg_num_components)
+INDEPENDENCE = GraphParameter(
+    "independence", 1.0, independence_number,
+    per_root=(_independence_roots, True), increments=_independence_increments)
+MAX_CUT = GraphParameter(
+    "maxcut", 1.0, max_cut,
+    per_root=(_max_cut_roots, True), increments=_max_cut_increments)
+NEG_COMPONENTS = GraphParameter(
+    "neg_components", 1.0, neg_num_components,
+    per_root=(_negated_root_marks, False), increments=_component_increments)
 # Deliberately outside the class: additive and Lipschitz but not concave.
-POS_COMPONENTS = GraphParameter("pos_components", 1.0, num_components)
+POS_COMPONENTS = GraphParameter("pos_components", 1.0, num_components,
+                                per_root=(_root_marks, False))
 
 
 def spin_parameter(model: SpinModel, name: str) -> GraphParameter:
     return GraphParameter(name, model.log_interaction_bound(),
-                          partial(log_partition, model=model))
+                          partial(log_partition, model=model), model=model,
+                          increments=partial(_spin_increments, model=model))
 
 
 def ising_parameter(beta: float) -> GraphParameter:
@@ -749,22 +799,6 @@ def parameter_from_name(name: str, beta: float | None = None,
 
 # ---------------------------------------------------------------------------
 # many graphs at once
-
-# per-root rules of the component-additive evaluators, and whether the rule
-# holds only on graphs of max degree <= 2
-_PER_ROOT = ((independence_number, _independence_roots, True),
-             (max_cut, _max_cut_roots, True),
-             (num_components, _root_marks, False),
-             (neg_num_components, _negated_root_marks, False))
-
-
-def _bound_model(evaluate) -> SpinModel | None:
-    """The model of ``log_partition`` bound by keyword, as
-    :func:`spin_parameter` binds it; None for any other evaluator."""
-    if getattr(evaluate, "func", None) is not log_partition:
-        return None
-    return evaluate.keywords.get("model")
-
 
 def _batched(items: list, key: Callable, batch: Callable, one=None,
              cap=None, rank=None) -> list:
@@ -805,33 +839,28 @@ def _spin_batches(graphs: list, model: SpinModel, limit: int,
 
 
 def evaluate_many(f: GraphParameter, graphs) -> list:
-    """``[f.evaluate(g) for g in graphs]``, with the same types and values.
+    """``[f.evaluate(g) for g in graphs]``, with the same types and values,
+    through the fast paths that ``f`` declares.
 
-    For ``log_partition`` bound to a model, graphs with the same n are
-    enumerated together as the rows of one array (see
-    :func:`_log_partition_rows`), at most ``_CHUNK`` states per array, and
-    larger graphs one by one.  For a component-additive evaluator
-    (``num_components``, ``neg_num_components``, and
-    ``independence_number`` and ``max_cut`` when every graph has max
-    degree <= 2) on two or more array-held graphs with the same n >= 1, one
-    components pass runs over the graphs' disjoint union, and each graph's
-    value is the sum of the evaluator's per-root values over its block of
-    vertices.  Everything else, a wrapped evaluator included, is evaluated
-    graph by graph.
+    With a ``model``, graphs with the same n are enumerated together as the
+    rows of one array (see :func:`_log_partition_rows`), at most ``_CHUNK``
+    states per array, and larger graphs one by one.  With a ``per_root``
+    rule, two or more array-held graphs with the same n >= 1 (of max degree
+    <= 2, for a degree-two rule) share one components pass over their
+    disjoint union, and each graph's value is the sum of the rule's values
+    over its block of vertices.  Everything else, and every parameter built
+    from a bare callable, is evaluated graph by graph.
     """
     graphs = list(graphs)
-    model = _bound_model(f.evaluate)
-    if model is not None:
-        return _spin_batches(graphs, model, _CHUNK, _log_partition_rows,
+    if f.model is not None:
+        return _spin_batches(graphs, f.model, _CHUNK, _log_partition_rows,
                              f.evaluate)
-    found = next(((rule, degree_two) for known, rule, degree_two in _PER_ROOT
-                  if f.evaluate is known), None)
     n = graphs[0].n if graphs else 0
-    if (found is None or len(graphs) < 2 or n == 0
+    if (f.per_root is None or len(graphs) < 2 or n == 0
             or any(not isinstance(g, _ArrayMultigraph) or g.n != n
                    for g in graphs)):
         return [f.evaluate(g) for g in graphs]
-    rule, degree_two = found
+    rule, degree_two = f.per_root
     union = Multigraph(n * len(graphs),
                        np.concatenate([g.ends + n * k
                                        for k, g in enumerate(graphs)]))
@@ -857,69 +886,34 @@ def _evaluated_increments(evaluate: Callable, g: Multigraph) -> np.ndarray:
     return out
 
 
-def _independence_increments(g: Multigraph) -> np.ndarray:
-    # a loop at v costs one exactly when v lies in every maximum independent
-    # set, and an edge ij costs one exactly when both i and j do
-    alpha = independence_number(g)
-    core = np.array([alpha - independence_number(g.add_edge(v, v))
-                     for v in range(1, g.n + 1)])
-    return (-np.outer(core, core)).astype(float)
-
-
-def _max_cut_increments(g: Multigraph) -> np.ndarray:
-    # an edge ij adds one exactly when some maximum cut separates i and j
-    if g.n > MAX_CUT_LIMIT:     # the closed forms still serve sparse graphs
-        return _evaluated_increments(max_cut, g)
-    member = (np.array(_max_cut_classes(g))[:, None] >> np.arange(g.n)) & 1
-    return (1 - member.T @ member).astype(float)
-
-
-def _component_increments(g: Multigraph) -> np.ndarray:
-    # an edge ij removes a component exactly when it joins two
-    root = _component_roots(g)
-    return np.not_equal.outer(root, root).astype(float)
-
-
-# evaluators whose increment matrix follows from one solve of g (or n + 1)
-_ONE_SOLVE = ((independence_number, _independence_increments),
-              (max_cut, _max_cut_increments),
-              (neg_num_components, _component_increments))
-
-
 def increment_matrix(f: GraphParameter, g: Multigraph) -> np.ndarray:
     """n x n matrix of single-edge increments f(G + ij) - f(G); the diagonal
     holds loop additions.  Symmetric by construction.
 
-    Every built-in family gets its matrix from one solve of g.  For
-    ``log_partition`` bound to a model, as :func:`spin_parameter` builds it,
-    one enumeration of g gives every entry as a pair marginal.  For
-    ``neg_num_components`` an entry is 1 exactly where i and j lie in
-    different components; for ``max_cut`` (n <= ``MAX_CUT_LIMIT``) exactly
-    where some maximum cut separates them, from one Gray-code pass; for
-    ``independence_number`` the matrix is -c c^T, where c_v = alpha(G) -
-    alpha(G + vv), from n + 1 solves.  Any other evaluator, a wrapped one
-    included, is evaluated on g and on each G + ij.
+    A parameter that declares ``increments``, as every built-in family but
+    ``POS_COMPONENTS`` does, gets the matrix of g with n >= 1 from one
+    solve.  For a spin model, one enumeration of g gives every entry as a
+    pair marginal.  For ``neg_num_components`` an entry is 1 exactly where
+    i and j lie in different components; for ``max_cut`` (n <=
+    ``MAX_CUT_LIMIT``) exactly where some maximum cut separates them, from
+    one Gray-code pass; for ``independence_number`` the matrix is -c c^T,
+    where c_v = alpha(G) - alpha(G + vv), from n + 1 solves.  Any other
+    parameter, one built from a bare callable included, is evaluated on g
+    and on each G + ij.
     """
-    evaluate = f.evaluate
-    model = _bound_model(evaluate)
-    if g.n and model is not None:
-        return _spin_increments(g, model)
-    one_solve = next((inc for known, inc in _ONE_SOLVE if evaluate is known),
-                     None)
-    if g.n and one_solve:
-        return one_solve(g)
-    return _evaluated_increments(evaluate, g)
+    if g.n and f.increments is not None:
+        return f.increments(g)
+    return _evaluated_increments(f.evaluate, g)
 
 
 def _increments_many(f: GraphParameter, graphs: list) -> list:
-    """``[increment_matrix(f, g) for g in graphs]``, to rounding; for
-    ``log_partition`` bound to a model, graphs with the same n >= 1 share
+    """``[increment_matrix(f, g) for g in graphs]``, to rounding; for a
+    parameter that declares a ``model``, graphs with the same n >= 1 share
     one :func:`_spin_increment_rows` call, at most ``_CHUNK >> 4`` states
     per call, and give the same bits as one by one."""
-    model = _bound_model(f.evaluate)
-    if model is None:
+    if f.model is None:
         return [increment_matrix(f, g) for g in graphs]
-    return _spin_batches(graphs, model, _CHUNK >> 4, _spin_increment_rows,
+    return _spin_batches(graphs, f.model, _CHUNK >> 4, _spin_increment_rows,
                          partial(increment_matrix, f))
 
 

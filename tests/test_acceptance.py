@@ -78,7 +78,10 @@ def test_criterion_02_pairing_uniformity():
     summary = sweep_pairing_uniformity(max_total_degree=8, max_vertices=4)
     detail = (f"{summary.classes} classes on {summary.instances} instances, "
               f"{len(summary.failures)} failures")
-    _finish(2, t0, 120, summary.all_uniform and summary.classes > 1000, detail)
+    # the exact counts, as criterion 1 asserts its own
+    ok = (summary.instances == 938 and summary.classes == 6_164
+          and summary.failures == [])
+    _finish(2, t0, 120, ok, detail)
 
 
 def test_criterion_03_penalty_constant():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -22,8 +23,8 @@ from graphlimits.graphs import (
     GraphParameter,
     Multigraph,
     _component_roots,
-    _independence_degree_two,
-    _max_cut_degree_two,
+    _independence_roots,
+    _max_cut_roots,
     _simple_adjacency,
     certify_parameter,
     evaluate_many,
@@ -120,6 +121,17 @@ def test_multigraph_rejects_bad_edges():
         Multigraph(2, ((1, 3),))
     with pytest.raises(ValueError):
         Multigraph(-1)
+
+
+@pytest.mark.parametrize("edge", [(1.5, 2), (1, 2, 3), (1,)])
+def test_pair_graph_rejects_edges_that_are_not_two_integers(edge):
+    # as the array form does, naming the edge
+    message = re.escape(f"edge {edge!r} must be two integer endpoints")
+    with pytest.raises(ValueError, match=message):
+        Multigraph(3, [edge])
+    if len(edge) == 2:
+        with pytest.raises(ValueError, match=message):
+            Multigraph(3).add_edge(*edge)
 
 
 def test_add_edge_equals_rebuilt_graph():
@@ -268,9 +280,9 @@ def test_array_graph_accepts_any_integer_dtype():
 def test_degree_two_closed_forms_reject_other_components():
     k4 = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     for g in (Multigraph(4, k4), Multigraph(4, np.array(k4))):
-        for closed_form in (_independence_degree_two, _max_cut_degree_two):
+        for rule in (_independence_roots, _max_cut_roots):
             with pytest.raises(AssertionError, match="unexpected edge count"):
-                closed_form(g)
+                rule(_component_roots(g), g)
 
 
 def test_array_graph_rejects_bad_edges():
@@ -1153,6 +1165,99 @@ def test_batched_increments_of_other_evaluators_are_one_by_one(pair_loop_calls):
 
 
 # ---------------------------------------------------------------------------
+# declared fast paths
+
+INTEGER_REGISTRY = [parameter_from_name(name) for name in (
+    "independence", "maxcut", "neg_components", "pos_components")]
+SPIN_REGISTRY = [parameter_from_name("ising", beta=0.5),
+                 parameter_from_name("potts", beta=1.0, q=3)]
+
+
+def counted(p):
+    """p with its evaluate behind a counting wrapper, its declarations kept
+    by dataclasses.replace, and the graphs the wrapper was called on."""
+    seen = []
+    return dataclasses.replace(
+        p, evaluate=lambda g: seen.append(g) or p.evaluate(g)), seen
+
+
+def bare(p):
+    """p's name, kappa and evaluate, with no declarations."""
+    return GraphParameter(p.name, p.kappa, p.evaluate)
+
+
+def test_registry_parameters_declare_their_fast_paths():
+    # the paths each family took before the declarations
+    before = {
+        "independence": (None, (graphs._independence_roots, True),
+                         graphs._independence_increments),
+        "maxcut": (None, (graphs._max_cut_roots, True),
+                   graphs._max_cut_increments),
+        "neg_components": (None, (graphs._negated_root_marks, False),
+                           graphs._component_increments),
+        # not CND, so its increments keep the pair loop: the negative control
+        "pos_components": (None, (graphs._root_marks, False), None),
+    }
+    for p in INTEGER_REGISTRY:
+        assert (p.model, p.per_root, p.increments) == before[p.name]
+    for p, model in zip(SPIN_REGISTRY, (ising_model(0.5), potts_model(3, 1.0))):
+        assert p.model == model and p.per_root is None
+        assert p.increments.func is graphs._spin_increments
+        assert p.increments.keywords == {"model": model}
+
+
+@pytest.mark.parametrize("param", INTEGER_REGISTRY, ids=lambda p: p.name)
+def test_replaced_evaluator_keeps_the_per_root_and_one_solve_paths(
+        param, component_passes, pair_loop_calls):
+    rng = np.random.default_rng(23)
+    batch = [sample_uniform_graph([2] * 50 + [1] * 10 + [0] * 5, rng)
+             for _ in range(7)]
+    small = [random_multigraph(rng, 6, 8) for _ in range(20)]
+    values = [param.evaluate(g) for g in batch]
+    incs = [increment_matrix(param, g).tobytes() for g in small]
+    wrapped, seen = counted(param)
+    for p, declared in ((wrapped, True), (bare(param), False)):
+        component_passes.clear()
+        pair_loop_calls.clear()
+        assert evaluate_many(p, batch) == values
+        # one pass over the union of 7 x 65 vertices, or one per graph
+        assert component_passes == ([455] if declared else [65] * 7)
+        assert [increment_matrix(p, g).tobytes() for g in small] == incs
+        one_solve = declared and param.increments is not None
+        assert pair_loop_calls == ([] if one_solve else small)
+    # the wrapper ran only in the pair loop
+    assert len(seen) == (0 if param.increments else sum(
+        1 + g.n * (g.n + 1) // 2 for g in small))
+
+
+@pytest.mark.parametrize("param", SPIN_REGISTRY, ids=lambda p: p.name)
+def test_replaced_evaluator_keeps_the_spin_paths(param, row_batches,
+                                                 pair_loop_calls, monkeypatch):
+    increment_rows, rows = [], graphs._spin_increment_rows
+    monkeypatch.setattr(graphs, "_spin_increment_rows", lambda batch, model: (
+        increment_rows.append(len(batch)) or rows(batch, model)))
+    rng = np.random.default_rng(34)
+    gs = [random_multigraph(rng, 5, 8) for _ in range(30)]
+    values = [param.evaluate(g) for g in gs]
+    incs = [increment_matrix(param, g) for g in gs]
+    wrapped, seen = counted(param)
+    for p, declared in ((wrapped, True), (bare(param), False)):
+        row_batches["rows"].clear()
+        increment_rows.clear()
+        pair_loop_calls.clear()
+        assert evaluate_many(p, gs) == values
+        for inc, expect in zip(graphs._increments_many(p, gs), incs):
+            assert np.abs(inc - expect).max() <= 1e-12
+        # every graph in the batched rows, or every graph one by one and
+        # its increments pair by pair
+        assert sum(size for _, size in row_batches["rows"]) == (
+            len(gs) if declared else 0)
+        assert sum(increment_rows) == (len(gs) if declared else 0)
+        assert pair_loop_calls == ([] if declared else gs)
+    assert seen == []
+
+
+# ---------------------------------------------------------------------------
 # conditional negative semidefiniteness
 
 
@@ -1313,7 +1418,7 @@ def test_certify_negative_control(pair_loop_calls):
 
 def test_certify_catches_understated_kappa(pair_loop_calls):
     # independence moves by 1 per added edge, twice the declared 1/2
-    understated = GraphParameter("independence", 0.5, independence_number)
+    understated = dataclasses.replace(INDEPENDENCE, kappa=0.5)
     report = certify_parameter(understated, 200, 6, np.random.default_rng(3),
                                max_edges=8)
     assert report.additive.passed
@@ -1426,7 +1531,7 @@ BENCH_MEMBERS = [INDEPENDENCE, MAX_CUT, NEG_COMPONENTS, ising_parameter(0.0),
                  potts_parameter(3, 1.0)]
 CERTIFY_CONTROLS = [
     POS_COMPONENTS, _ferromagnetic_ising(0.5),
-    GraphParameter("independence", 0.5, independence_number),
+    dataclasses.replace(INDEPENDENCE, kappa=0.5),
     dataclasses.replace(ising_parameter(2.0), kappa=1.5)]
 
 
