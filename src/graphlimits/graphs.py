@@ -648,12 +648,29 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
     """log of the total spin-configuration weight on g.
 
     Each configuration weighs prod_i h(s_i) * prod_{ij in E} J(s_i, s_j),
-    edges taken with multiplicity and loops contributing J(s_i, s_i).  The
-    broadcast slabs of :func:`_log_weight_slabs` keep a call to a few MB for
-    any q^n; the sum is taken in log space with a max shift per window of
-    ``_CHUNK`` consecutive states.  :func:`evaluate_many` enumerates small
-    graphs in batches instead, with the same bits.
+    edges taken with multiplicity and loops contributing J(s_i, s_i).
+
+    Graphs with 2 q^n <= ``_CHUNK``, the size :func:`evaluate_many`
+    batches as rows with the same bits, and n = 0 are enumerated by
+    :func:`_slab_log_partition`.  A larger graph within ``STATE_BUDGET``
+    is summed by :func:`_eliminated_log_partition`, which agrees with the
+    enumeration to rounding; where elimination would hold a table of more
+    than ``_CHUNK`` entries, or a product could leave float range, the
+    slabs enumerate it too.  No path holds an array of more than about
+    ``_CHUNK`` floats.
     """
+    if _CHUNK < 2 * model.q ** g.n <= 2 * STATE_BUDGET:
+        value = _eliminated_log_partition(g, model)
+        if value is not None:
+            return value
+    return _slab_log_partition(g, model)
+
+
+def _slab_log_partition(g: Multigraph, model: SpinModel) -> float:
+    """:func:`log_partition` by enumeration: the broadcast slabs of
+    :func:`_log_weight_slabs` keep a call to a few MB for any q^n, and the
+    sum is taken in log space with a max shift per window of ``_CHUNK``
+    consecutive states."""
     left, shifts, sums, flat = model.q ** g.n, [], [], np.empty(0)
     for logw in _log_weight_slabs(g, model):
         left -= logw.size
@@ -667,6 +684,93 @@ def log_partition(g: Multigraph, model: SpinModel) -> float:
         flat = flat[end:]
     top = max(shifts)
     return top + math.log(sum(s * math.exp(m - top) for m, s in zip(shifts, sums)))
+
+
+# the least log of a product of rescaled tables that elimination takes:
+# above log(float tiny), about -708.4, so no product of entries underflows
+_LOG_FLOOR = -700.0
+
+
+def _elimination_order(cut: list, q: int) -> list | None:
+    """(v, neighbours) for each 0-based vertex of the graph whose
+    :func:`_cut_neighbours` are ``cut``, in the order it is summed out:
+    least degree first, ties to the smaller index, degrees and neighbours
+    (sorted) counting the fill-in of earlier steps.  None if a table held
+    on the way, q^k entries for k vertices, would exceed ``_CHUNK``
+    entries."""
+    nbrs = [{u for u, _ in row} for row in cut]
+    if q * q > _CHUNK and any(nbrs):    # a pair table
+        return None
+    order, left = [], set(range(len(cut)))
+    while left:
+        v = min(left, key=lambda u: (len(nbrs[u]), u))
+        left.remove(v)
+        out = nbrs[v]
+        if q ** len(out) > _CHUNK:
+            return None
+        for u in out:
+            nbrs[u] |= out
+            nbrs[u] -= {u, v}
+        order.append((v, sorted(out)))
+    return order
+
+
+def _eliminated_log_partition(g: Multigraph, model: SpinModel) -> float | None:
+    """:func:`log_partition` by variable elimination in the order of
+    :func:`_elimination_order`, or None where that declines g or a product
+    of tables could underflow.
+
+    Each vertex's weights and loops fold into one table h(s) J(s, s)^k,
+    and the k parallel edges of a pair into one table J^k (elementwise).
+    Summing out a vertex is one ``np.einsum`` over the tables on it, which
+    leaves one table on its neighbours.  Every table is held divided by
+    its max, whose log is added to the result, so no entry overflows; a
+    table's log min is kept too, and a vertex whose tables' minima
+    multiply to below e^``_LOG_FLOOR`` returns None.
+    """
+    cut = _cut_neighbours(g)
+    order = _elimination_order(cut, model.q)
+    if order is None:
+        return None
+    q, n, pos = model.q, g.n, {v: k for k, (v, _) in enumerate(order)}
+    # buckets[k]: (log min, table, axes) of each table whose vertex summed
+    # out first is order[k]'s
+    buckets = [[] for _ in order]
+    loops = np.bincount([i - 1 for i, j in g.edges if i == j], minlength=n)
+    log_J = np.log(model.J)
+    logs = np.log(model.h) + loops[:, None] * log_J.diagonal()
+    tops = logs.max(axis=1)
+    total = float(tops.sum())
+    tables = np.exp(logs - tops[:, None])
+    weighted = set(model.h) != {1.0}
+    for v, low in enumerate((logs.min(axis=1) - tops).tolist()):
+        if weighted or loops[v]:
+            buckets[pos[v]].append((low, tables[v], [v]))
+    powers = {}     # by multiplicity
+    pairs = {(i, j): k for i, row in enumerate(cut) for j, k in row if i < j}
+    for (i, j), k in pairs.items():
+        if k not in powers:
+            power = k * log_J
+            top = float(power.max())
+            powers[k] = top, float(power.min()) - top, np.exp(power - top)
+        top, low, table = powers[k]
+        total += top
+        buckets[min(pos[i], pos[j])].append((low, table, [i, j]))
+    for k, (v, out) in enumerate(order):
+        bucket = buckets[k]
+        if not bucket:      # on no table: q equal terms
+            total += math.log(q)
+            continue
+        if sum(low for low, _, _ in bucket) < _LOG_FLOOR:
+            return None
+        table = np.einsum(*[x for _, t, axes in bucket for x in (t, axes)], out)
+        top = float(table.max())
+        total += math.log(top)
+        if out:
+            table /= top
+            buckets[min(pos[u] for u in out)].append(
+                (math.log(float(table.min())), table, out))
+    return total
 
 
 def _spin_increment_rows(graphs: list, model: SpinModel) -> np.ndarray:
@@ -730,8 +834,10 @@ class GraphParameter:
     pair (rule, degree_two) of the family's per-root rule and whether it
     holds only on graphs of max degree <= 2; ``increments``, the increment
     matrix of a graph with n >= 1 from one solve.  They describe
-    ``evaluate``, so ``dataclasses.replace(f, evaluate=wrapper)`` keeps
-    them.  A parameter built from a bare callable declares none, and is
+    ``evaluate`` and are trusted, not checked: ``dataclasses.replace(f,
+    evaluate=g)`` keeps them, which is right only for a g that wraps
+    ``f.evaluate`` (it computes the same values).  Any other function needs
+    a bare ``GraphParameter(name, kappa, g)``, which declares none and is
     evaluated graph by graph and pair by pair.
     """
 
@@ -830,7 +936,9 @@ def _spin_batches(graphs: list, model: SpinModel, limit: int,
     """``batch(graphs, model)`` over batches of graphs with one vertex count
     n >= 1 and at most ``limit`` states in all, in order of edge count,
     most first; ``one(g)`` for n = 0 and for graphs that would fill a batch
-    alone (2 q^n > limit), which are faster on the slab path."""
+    alone (2 q^n > limit), which :func:`log_partition` sums by elimination
+    (or enumerates in slabs) and :func:`_spin_increments` enumerates in
+    slabs."""
     q = model.q
     return _batched(
         graphs, lambda g: g.n if g.n and 2 * q ** g.n <= limit else None,
@@ -842,14 +950,18 @@ def evaluate_many(f: GraphParameter, graphs) -> list:
     """``[f.evaluate(g) for g in graphs]``, with the same types and values,
     through the fast paths that ``f`` declares.
 
-    With a ``model``, graphs with the same n are enumerated together as the
-    rows of one array (see :func:`_log_partition_rows`), at most ``_CHUNK``
-    states per array, and larger graphs one by one.  With a ``per_root``
-    rule, two or more array-held graphs with the same n >= 1 (of max degree
-    <= 2, for a degree-two rule) share one components pass over their
-    disjoint union, and each graph's value is the sum of the rule's values
-    over its block of vertices.  Everything else, and every parameter built
-    from a bare callable, is evaluated graph by graph.
+    With a ``model``, graphs with n >= 1 and 2 q^n <= ``_CHUNK`` are
+    enumerated together, those with the same n as the rows of one array of
+    at most ``_CHUNK`` states (see :func:`_log_partition_rows`); the others
+    go one by one through ``f.evaluate``, which for :func:`log_partition`
+    enumerates n = 0 in slabs and sums larger graphs by elimination, or in
+    slabs where elimination declines.  No path holds an array of more than
+    about ``_CHUNK`` floats.  With a ``per_root`` rule, two or more
+    array-held graphs with the same n >= 1 (of max degree <= 2, for a
+    degree-two rule) share one components pass over their disjoint union,
+    and each graph's value is the sum of the rule's values over its block
+    of vertices.  Everything else, and every parameter built from a bare
+    callable, is evaluated graph by graph.
     """
     graphs = list(graphs)
     if f.model is not None:
@@ -1084,7 +1196,7 @@ def _certify_block(f: GraphParameter, pairs: list,
 
     Values come in batches, for every pair that a property passing at the
     block's start needs: f(G1 + G2), f(G1) and f(G2) through
-    :func:`evaluate_many`, whose spin rows enumerate G1 + G2 as one graph;
+    :func:`evaluate_many`, which evaluates G1 + G2 as one graph;
     G1's increment matrices through :func:`_increments_many`; their top
     projected eigenvalues in one stacked call per vertex count.
     """

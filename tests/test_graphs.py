@@ -600,6 +600,12 @@ def test_log_partition_budget():
     assert str(err.value) == "enumeration budget exceeded: 5^11 states > 16777216"
 
 
+def over_the_limit(g, model):
+    """Whether g is too large for the batched rows (2 q^n > _CHUNK), so
+    that log_partition sums it by elimination where it can."""
+    return 2 * model.q ** g.n > graphs._CHUNK
+
+
 def log_partition_digits(g, model):
     """The digit-table enumeration that ``log_partition`` replaced: each
     window of ``_CHUNK`` states builds its (states, n) table of spins by
@@ -645,7 +651,13 @@ def test_log_partition_is_bit_identical_to_digit_enumeration():
             g = g.disjoint_union(random_multigraph(rng, 6, 8))
         for model in BIT_IDENTITY_MODELS:
             if model.q ** g.n <= 3 ** 12:
-                assert log_partition(g, model) == log_partition_digits(g, model)
+                expect = log_partition_digits(g, model)
+                if over_the_limit(g, model):
+                    assert graphs._slab_log_partition(g, model) == expect
+                    assert log_partition(g, model) == pytest.approx(
+                        expect, rel=1e-12)
+                else:
+                    assert log_partition(g, model) == expect
 
 
 @pytest.mark.parametrize("model,n", [
@@ -660,7 +672,9 @@ def test_log_partition_windows_cross_slabs_bit_identically(model, n):
     rng = np.random.default_rng(n * model.q)
     edges = rng.integers(1, n + 1, size=(2 * n, 2))
     g = Multigraph(n, tuple((int(a), int(b)) for a, b in edges) + ((1, 1), (n, n)))
-    assert log_partition(g, model) == log_partition_digits(g, model)
+    expect = log_partition_digits(g, model)
+    assert graphs._slab_log_partition(g, model) == expect
+    assert log_partition(g, model) == pytest.approx(expect, rel=1e-12)
 
 
 def test_log_partition_with_vertex_weights_matches_digit_enumeration():
@@ -674,8 +688,10 @@ def test_log_partition_with_vertex_weights_matches_digit_enumeration():
             log_partition_digits(g, model), rel=0, abs=1e-12)
     # 3^11 states: the weights of vertices fixed by a slab are added too
     g = Multigraph(11, tuple((v, v % 11 + 1) for v in range(1, 12)))
-    assert log_partition(g, model) == pytest.approx(
-        log_partition_digits(g, model), rel=0, abs=1e-12)
+    expect = log_partition_digits(g, model)
+    assert graphs._slab_log_partition(g, model) == pytest.approx(
+        expect, rel=0, abs=1e-12)
+    assert log_partition(g, model) == pytest.approx(expect, rel=1e-12)
 
 
 # graphs whose slabs leave axes untouched: no terms at all, a slab whose
@@ -694,7 +710,12 @@ SPARSE_SLAB_CASES = [
                               "potts-fixed-loop"])
 def test_log_partition_bit_identical_on_sparse_slabs(g, models):
     for model in models:
-        assert log_partition(g, model) == log_partition_digits(g, model)
+        expect = log_partition_digits(g, model)
+        assert graphs._slab_log_partition(g, model) == expect
+        if over_the_limit(g, model):
+            assert log_partition(g, model) == pytest.approx(expect, rel=1e-12)
+        else:
+            assert log_partition(g, model) == expect
 
 
 @pytest.mark.parametrize("g,models", SPARSE_SLAB_CASES[:3],
@@ -780,10 +801,12 @@ def mixed_size_graphs(model, seed, count=60):
 
 @pytest.fixture
 def row_batches(monkeypatch):
-    """(n, batch size) of each _log_partition_rows call, and the n of each
-    graph enumerated in slabs."""
-    calls = {"rows": [], "slab": []}
+    """(n, batch size) of each _log_partition_rows call, the n of each
+    graph enumerated in slabs, and the n of each graph summed by
+    elimination."""
+    calls = {"rows": [], "slab": [], "eliminated": []}
     rows, slabs = graphs._log_partition_rows, graphs._log_weight_slabs
+    eliminate = graphs._eliminated_log_partition
 
     def record_rows(batch, model):
         calls["rows"].append((batch[0].n, len(batch)))
@@ -793,8 +816,15 @@ def row_batches(monkeypatch):
         calls["slab"].append(g.n)
         return slabs(g, model, *limit)
 
+    def record_eliminated(g, model):
+        value = eliminate(g, model)
+        if value is not None:
+            calls["eliminated"].append(g.n)
+        return value
+
     monkeypatch.setattr(graphs, "_log_partition_rows", record_rows)
     monkeypatch.setattr(graphs, "_log_weight_slabs", record_slabs)
+    monkeypatch.setattr(graphs, "_eliminated_log_partition", record_eliminated)
     return calls
 
 
@@ -808,25 +838,130 @@ def test_batched_log_partitions_match_slabs_and_digits(model, row_batches):
     gs = mixed_size_graphs(model, 31)
     values = evaluate_many(graphs.spin_parameter(model, "spin"), gs)
     rows, slab = row_batches["rows"][:], row_batches["slab"][:]
-    # bit-identical to the slab path, graph by graph
+    eliminated = row_batches["eliminated"][:]
+    # bit-identical to log_partition, graph by graph
     assert values == [log_partition(g, model) for g in gs]
     assert all(type(v) is float for v in values)
     for g, v in zip(gs, values):
         if model.q ** g.n <= 3 ** 10:
             expect = log_partition_digits(g, model)
+            if over_the_limit(g, model):    # summed by elimination
+                assert v == pytest.approx(expect, rel=1e-12)
+                v = graphs._slab_log_partition(g, model)
             if model is VERTEX_WEIGHTED:    # row sums in another order
                 assert v == pytest.approx(expect, rel=0, abs=1e-12)
             else:
                 assert v == expect
     # the rows took the graphs with n >= 1 that leave room for another in
-    # a batch, several to a call, and the slab path the others
+    # a batch, several to a call, elimination the larger ones and the slab
+    # path n = 0
     for n, size in rows:
         assert 0 < n and 2 * model.q ** n <= graphs._CHUNK
         assert size * model.q ** n <= graphs._CHUNK
     assert max(size for _, size in rows) > 1
-    assert sorted(slab) == sorted(g.n for g in gs if g.n == 0
-                                  or 2 * model.q ** g.n > graphs._CHUNK)
-    assert max(slab) > 0
+    assert sorted(eliminated) == sorted(g.n for g in gs
+                                        if over_the_limit(g, model))
+    assert eliminated
+    assert slab == [0] * sum(g.n == 0 for g in gs)
+
+
+def random_tree(rng, n):
+    """A random tree on 1..n: each vertex after the first joins a uniform
+    earlier one, then the labels are shuffled."""
+    label = (rng.permutation(n) + 1).tolist()
+    return Multigraph(n, tuple((label[k], label[int(rng.integers(k))])
+                               for k in range(1, n)))
+
+
+@pytest.mark.parametrize("model,sizes,r", [
+    (ising_model(0.5), range(17, 25), math.exp(0.5) + math.exp(-0.5)),
+    (ising_model(2.0), range(17, 25), math.exp(2.0) + math.exp(-2.0)),
+    (potts_model(3, 1.0), range(10, 16), 2 + math.exp(-1.0)),
+], ids=["ising0.5", "ising2", "potts3"])
+def test_eliminated_log_partition_matches_closed_forms(model, sizes, r,
+                                                       row_batches):
+    # h = 1 and every row of J sums to r, so summing out a leaf multiplies
+    # its neighbour's weight by r: a tree on n vertices has Z = q r^(n-1).
+    # A k-cycle has Z = tr(J^k).
+    rng = np.random.default_rng(22)
+    J = np.array(model.J)
+    for n in sizes:
+        assert log_partition(random_tree(rng, n), model) == pytest.approx(
+            math.log(model.q) + (n - 1) * math.log(r), rel=1e-12)
+        cycle = Multigraph(n, tuple((v, v % n + 1) for v in range(1, n + 1)))
+        assert log_partition(cycle, model) == pytest.approx(
+            math.log(np.trace(np.linalg.matrix_power(J, n))), rel=1e-12)
+    assert row_batches["slab"] == []
+    assert len(row_batches["eliminated"]) == 2 * len(sizes)
+
+
+EXTREME_MODELS = BIT_IDENTITY_MODELS + [VERTEX_WEIGHTED, ising_model(40.0),
+                                        potts_model(3, 40.0)]
+
+
+@st.composite
+def over_the_limit_cases(draw):
+    """(graph, model): n at most one past the least over the batched rows'
+    limit, loops and parallel edges reachable."""
+    model = draw(st.sampled_from(EXTREME_MODELS))
+    low = min(n for n in range(40) if 2 * model.q ** n > graphs._CHUNK)
+    n = draw(st.integers(low, low + 1))
+    vertex = st.integers(1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return Multigraph(n, tuple(pairs)), model
+
+
+@settings(max_examples=60, deadline=None)
+@given(over_the_limit_cases())
+def test_elimination_matches_slabs_at_extreme_couplings(case):
+    g, model = case
+    expect = graphs._slab_log_partition(g, model)
+    value = graphs._eliminated_log_partition(g, model)
+    if value is not None:
+        assert math.isfinite(value)
+        assert value == pytest.approx(expect, rel=1e-12)
+    assert log_partition(g, model) == (expect if value is None else value)
+
+
+def test_elimination_declines_products_below_float_range(row_batches):
+    # ising(40) on a triangle of 10-fold edges: each state has an agreeing
+    # pair, e^-400 against e^400 for each other pair, so a product of the
+    # tables rescaled to max 1 is at most e^-800, which underflows to 0
+    model = ising_model(40.0)
+    triangle = Multigraph(16, ((1, 2), (1, 3), (2, 3)) * 10)
+    value = log_partition(triangle, model)
+    assert row_batches["slab"] == [16] and row_batches["eliminated"] == []
+    assert value == graphs._slab_log_partition(triangle, model)
+    assert value == pytest.approx(13 * math.log(2) + math.log(6) + 400.0,
+                                  rel=1e-12)
+
+
+def test_dense_graph_keeps_the_slab_path(row_batches):
+    # summing out any vertex of K18 first leaves a table on its 17
+    # neighbours, 2^17 > _CHUNK entries
+    n, beta = 18, 0.5
+    complete = Multigraph(n, tuple((i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, n + 1)))
+    assert graphs._elimination_order(
+        graphs._cut_neighbours(complete), 2) is None
+    # so does one edge under 300 spin states: its table has 90,000 entries
+    assert graphs._elimination_order(graphs._cut_neighbours(EDGE), 300) is None
+    tracemalloc.start()
+    try:
+        value = log_partition(complete, ising_model(beta))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row_batches["slab"] == [n] and row_batches["eliminated"] == []
+    assert peak < 8 * 2 ** 20
+    # k spins up: C(k, 2) + C(n - k, 2) agreeing pairs weigh e^-beta and
+    # the k (n - k) others e^beta
+    assert value == pytest.approx(math.log(sum(
+        math.comb(n, k) * math.exp(beta * (k * (n - k) - math.comb(k, 2)
+                                           - math.comb(n - k, 2)))
+        for k in range(n + 1))), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,6 +1339,16 @@ def test_registry_parameters_declare_their_fast_paths():
         assert p.model == model and p.per_root is None
         assert p.increments.func is graphs._spin_increments
         assert p.increments.keywords == {"model": model}
+
+
+def test_bare_parameter_answers_with_its_own_function():
+    # declarations are trusted: a replace copy answers with the rule that
+    # INDEPENDENCE declares, so another function needs a bare parameter
+    path = Multigraph(4, np.array([[1, 2], [2, 3], [3, 4]]))
+    own = GraphParameter(INDEPENDENCE.name, INDEPENDENCE.kappa, max_cut)
+    assert evaluate_many(own, [path, path]) == [3, 3]
+    swapped = dataclasses.replace(INDEPENDENCE, evaluate=max_cut)
+    assert evaluate_many(swapped, [path, path]) == [2, 2]
 
 
 @pytest.mark.parametrize("param", INTEGER_REGISTRY, ids=lambda p: p.name)
