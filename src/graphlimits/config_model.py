@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .degree import HalfEdgeSystem, as_system
-from .graphs import Multigraph
+from .graphs import Multigraph, _canonical_graph
 
 ENUMERATION_BUDGET = 12  # max total degree for exhaustive matching lists
 MULTIGRAPH_BUDGET = 16  # max total degree for enumerate_multigraphs
@@ -247,7 +247,8 @@ def enumerate_multigraphs(sys: HalfEdgeSystem, size: int | None = None) -> list:
         if k == len(pairs):
             if size is None or len(edges) == size:
                 ways = math.prod(math.perm(d, d - c) for d, c in zip(degrees, free))
-                out.append((Multigraph(sys.n, edges), ways // symmetry))
+                # pairs go in lexicographic order: the edges are canonical
+                out.append((_canonical_graph(sys.n, edges), ways // symmetry))
             return
         i, j = pairs[k]
         cap = free[i] // 2 if i == j else min(free[i], free[j])

@@ -22,6 +22,7 @@ justified numerically by :func:`penalty_constant`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -56,6 +57,9 @@ from .limits import (
 
 DEFAULT_TOL = 1e-9
 PENALTY_FACTOR = 7.0
+# (bipartition, edge or graph counter) cells per share of the sweep's
+# class-sum scatter: 512 KB per int64 array
+_SCATTER_CELLS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,8 @@ def _common_denominator(means) -> tuple:
     operations.  Python integers never overflow, and n / scale rounds
     once, as ``float(Fraction)`` does.
     """
+    if all(type(m) is int for m in means):
+        return list(means), 1
     if all(isinstance(m, Rational) for m in means):
         # a list: math.lcm(*generator) leaks memory on CPython 3.11
         scale = math.lcm(*[int(m.denominator) for m in means])
@@ -586,7 +592,7 @@ def _pair_kinds(n: int) -> np.ndarray:
     bipartition of :func:`bipartitions_of`."""
     in_b = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) == 0
     i, j = in_b[:, :, None], in_b[:, None, :]
-    return (2 * (i != j) + (i & j)).reshape(1 << n, n * n)
+    return (2 * (i != j) + (i & j)).reshape(1 << n, n * n).astype(np.int8)
 
 
 def _sweep_layout(da: int, db: int) -> tuple:
@@ -594,10 +600,12 @@ def _sweep_layout(da: int, db: int) -> tuple:
     every such instance, as indices into its sorted count triples: the
     triples, a lookup [alpha, beta, gamma] -> position, the Lipschitz pairs
     (i, j, dist), the local records (counts field, delta, x, y, z) and the
-    global records (counts field, gamma, top, cross)."""
+    global records (counts field, gamma, top, cross).  Each count is at most
+    (d(A) + d(B)) / 2, and the lookup has that bound in every axis, so the
+    lookups of one total degree stack."""
     triples = [tuple(c) for c in _feasible_triples(da, db)]
     index = {c: k for k, c in enumerate(triples)}
-    lut = np.zeros((da // 2 + 1, db // 2 + 1, min(da, db) + 1), dtype=np.intp)
+    lut = np.zeros((((da + db) // 2 + 1,) * 3), dtype=np.intp)
     for c, k in index.items():
         lut[c] = k
     local = []
@@ -611,6 +619,45 @@ def _sweep_layout(da: int, db: int) -> tuple:
                 index[(da - gamma) // 2, (db - gamma) // 2, gamma])
                for gamma in range(min(da, db) + 1)]
     return triples, lut, _pair_distances(triples), local, global_
+
+
+def _class_sums(rows, slots, pairs, kinds, layouts) -> tuple:
+    """(classes, sums) under several bipartitions of one total degree: per
+    bipartition each graph's class and, per row of the object array
+    ``rows``, the Python-integer sum of each class.
+
+    ``pairs`` holds each edge's vertex pair and ``slots`` three times its
+    graph's index; ``kinds`` and ``layouts`` hold each bipartition's row of
+    :func:`_pair_kinds` and its :func:`_sweep_layout`.  One ``bincount``
+    counts every graph's edges inside A, inside B and across under every
+    bipartition, the stacked lookups map the counts to (bipartition, class)
+    positions, and one ``np.add.at`` per row sums over them.  Bipartitions
+    go in shares of about ``_SCATTER_CELLS`` counters, so memory stays
+    bounded.
+    """
+    m, size = len(layouts), 3 * rows.shape[1]
+    share = max(1, _SCATTER_CELLS // (len(pairs) + size))
+    if m > share:
+        parts = [_class_sums(rows, slots, pairs, kinds[k:k + share],
+                             layouts[k:k + share]) for k in range(0, m, share)]
+        return tuple(list(chain.from_iterable(x)) for x in zip(*parts))
+    # one byte per (bipartition, edge) until the graphs' slots are added
+    at = slots + kinds[:, pairs]
+    at += (size * np.arange(m))[:, None]
+    counts = np.bincount(at.ravel(), minlength=size * m).reshape(m, -1, 3)
+    widths = np.array([len(triples) for triples, *_ in layouts])
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    luts = np.stack([lut for _, lut, *_ in layouts])
+    at = luts[np.arange(m)[:, None], counts[..., 0], counts[..., 1],
+              counts[..., 2]] + starts[:, None]
+    sums = np.zeros((len(rows), ends[-1]), dtype=object)
+    for total, row in zip(sums, rows):
+        np.add.at(total, at, row)
+    sums = sums.tolist()
+    return (at - starts[:, None],
+            [[row[start:end] for row in sums]
+             for start, end in zip(starts.tolist(), ends.tolist())])
 
 
 def _checked(check: str, records: list, everything: bool,
@@ -692,15 +739,21 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
 
     Runs over all degree functions (one per relabeling class), all ordered
     bipartitions, and all feasible count inputs, for each parameter.  Each
-    degree function's distinct multigraphs are enumerated once with their
-    matching counts as weights and evaluated once per parameter; every
-    bipartition buckets them by pair-type counts.  For a rational-valued
-    parameter each class mean is an integer numerator over one common
-    denominator, the product of the parameter's value denominator and the
-    lcm of the class weight totals; other parameters keep their weighted
-    means.  The records of an instance are decided together from these
-    means by :func:`_lipschitz_table`, :func:`_local_record` and
-    :func:`_global_record`, the rules of the single-record verifiers.
+    degree function's distinct multigraphs are enumerated with their
+    matching counts as weights.  A multigraph recurs in every degree
+    function of its vertex count that bounds its degrees, and
+    :func:`degree_functions` yields each count's functions together, so a
+    value table kept while the count stays the same evaluates each distinct
+    multigraph once per parameter and run.  Every bipartition buckets the
+    graphs by pair-type counts; one scatter, :func:`_class_sums`, sums the
+    classes of all bipartitions decided on a degree function.  For a
+    rational-valued parameter each class mean is an integer numerator over
+    one common denominator, the product of the parameter's value
+    denominator and the lcm of the class weight totals; other parameters
+    keep their weighted means.  The records of an instance are decided
+    together from these means by :func:`_lipschitz_table`,
+    :func:`_local_record` and :func:`_global_record`, the rules of the
+    single-record verifiers.
 
     Main records follow :func:`verify_main`'s rule, E f(sorted A) +
     E f(sorted B) against E f(sorted whole) + penalty.  For a rational
@@ -708,9 +761,10 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     maximal multigraphs, kept per run and sorted degree multiset; every
     non-empty side is a degree function swept before, or the whole one.
     All 2^n main records of a degree function are then decided at once over
-    one common denominator.  The empty side, and any mean that is not
-    rational, come from :func:`expected_parameter` on the ascending
-    relabeling, once per run and sorted degree multiset.
+    one common denominator and folded into the summary as one table.  The
+    empty side, and any mean that is not rational, come from
+    :func:`expected_parameter` on the ascending relabeling, once per run
+    and sorted degree multiset.
 
     Two bipartitions with the same multiset of (degree, side) pairs differ
     by a degree-preserving relabeling, so their class sums are equal.  When
@@ -722,12 +776,13 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     The Lipschitz, local and global records of an (instance, parameter)
     depend only on d(A), d(B), kappa and the class means.  For a rational
     parameter the means are integer numerators over a common denominator,
-    and each distinct such input is decided once per run; its records are
-    replayed, under the instance's own label, wherever it recurs (as for
-    degree functions that differ only by vertices of degree 0).  Float
-    means are always decided afresh.  With ``on_record`` every record of
-    each distinct input is kept until the run ends, sharing its objects with
-    the ``Verdict``s of the replays.
+    and a dict decides each distinct such input once and replays its
+    records, under the instance's own label, wherever it recurs (as for
+    degree functions that differ only by vertices of degree 0).  Without
+    ``on_record`` the dict holds only failures and lasts the run; with it,
+    the dict holds every record and is cleared at each degree function, so
+    an input met again in a later one is decided again.  Float means are
+    always decided afresh.
 
     A record becomes a ``Verdict`` only for ``on_record`` or when it fails.
     ``min_slack`` is the smallest slack over all checked inequalities;
@@ -761,6 +816,9 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
     tables = {}
     # (d(A), d(B), kappa, scale, numerators) -> _instance_records' result
     memo = {}
+    # the vertex count of the graphs met so far: their keys -> position,
+    # and per parameter the value at each position
+    n = position = known = None
 
     def fold(check: str, least: float, firm: float):
         # a NaN slack never wins, as in min()
@@ -769,42 +827,56 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
         if firm < summary.least_slack[check]:
             summary.least_slack[check] = firm
 
-    def main_records(p: int, whole: tuple, sides: list, pen: float) -> list:
-        """The main record of each split (A, B) in ``sides``, as a list
-        holding its :func:`_checked` tuple."""
-        keys = list(dict.fromkeys((whole, *chain.from_iterable(sides))))
-        means = [maximal[p].get(k) if k else expected[p](k) for k in keys]
-        if all(isinstance(m, Rational) for m in means):
-            values, scale = _common_denominator(means)
-            value = dict(zip(keys, values))
+    def main_table(p: int, distinct: list, sides: list, pen: float) -> list:
+        """The main record (counts field, lhs, rhs, verdict) of each split
+        (A, B) in ``sides``; ``distinct`` holds every side once, the whole
+        first."""
+        whole = distinct[0]
+        values, scale = _common_denominator(
+            [maximal[p].get(k) if k else expected[p](k) for k in distinct])
+        if scale is not None:
+            value = dict(zip(distinct, values))
             # _decide's float rhs and bound, met by an integer threshold
             rhs = value[whole] / scale + pen
             bound = _threshold(rhs + DEFAULT_TOL, scale)
-            split = [(s / scale, rhs, s <= bound)
-                     for s in (value[a] + value[b] for a, b in sides)]
-        else:
-            rhs = expected[p](whole) + pen
-            split = [_decide(expected[p](a) + expected[p](b), rhs)
-                     for a, b in sides]
-        # every split of a total-degree-0 function holds with slack 0
-        identities = int(not any(whole))
-        return [[_checked("main", [("mode=exact", *r)], everything,
-                          identities)] for r in split]
+            return [("mode=exact", s / scale, rhs, s <= bound)
+                    for s in (value[a] + value[b] for a, b in sides)]
+        rhs = expected[p](whole) + pen
+        return [("mode=exact", *_decide(expected[p](a) + expected[p](b), rhs))
+                for a, b in sides]
 
     for degrees in degree_functions(max_vertices, max_total_degree):
         sys = HalfEdgeSystem(degrees)
+        if everything:
+            # the memo keeps every record: one degree function's at a time
+            memo.clear()
+        if sys.n != n:
+            # a graph recurs only in degree functions of its own vertex
+            # count, which come together
+            n, position, known = sys.n, {}, [[] for _ in params]
         weighted = enumerate_multigraphs(sys)
         weights = [w for _, w in weighted]
-        values = [[param.evaluate(g) for g, _ in weighted] for param in params]
+        sizes = [g.num_edges for g, _ in weighted]
         # each edge's vertex pair (i - 1) * n + (j - 1), and the first of
         # three counters (inside A, inside B, across) of its graph
-        edge_pairs = np.array([(i - 1) * sys.n + j - 1 for g, _ in weighted
+        edge_pairs = np.array([(i - 1) * n + j - 1 for g, _ in weighted
                                for i, j in g.edges], dtype=np.intp)
-        slots = 3 * np.repeat(np.arange(len(weighted)),
-                              [g.num_edges for g, _ in weighted])
-        if sys.n not in tables:
-            tables[sys.n] = list(bipartitions_of(sys.n)), _pair_kinds(sys.n)
-        bps, kinds = tables[sys.n]
+        slots = 3 * np.repeat(np.arange(len(weighted)), sizes)
+        # on n vertices a graph is its sorted edges: key it by their pairs'
+        # bytes, which take less memory than the edges
+        codes = edge_pairs.astype(np.int32).tobytes()
+        ends = np.cumsum([0] + sizes).tolist()
+        start = len(position)
+        at = [position.setdefault(codes[4 * a:4 * b], len(position))
+              for a, b in zip(ends, ends[1:])]
+        fresh = [g for (g, _), k in zip(weighted, at) if k >= start]
+        for param, vals in zip(params, known):
+            vals.extend(param.evaluate(g) for g in fresh)
+        values = [[vals[k] for k in at] for vals in known]
+        if n not in tables:
+            tables[n] = list(bipartitions_of(n)), _pair_kinds(n)
+        bps, kinds = tables[n]
+        summary.instances += len(bps)
         # the integers summed per class: the weights, then for each
         # rational parameter weight times value over one denominator
         rows, dens = [weights], []
@@ -823,33 +895,41 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
             maximal[p][whole] = Fraction(s, dens[p] * top[0])
         sides = [tuple(tuple(sorted(degrees[v - 1] for v in side))
                        for side in (bp.a, bp.b)) for bp in bps]
-        mains = [main_records(p, whole, sides,
-                              penalty(sys.total / 2, param.kappa))
-                 if "main" in checks else [[]] * len(bps)
-                 for p, param in enumerate(params)]
+        mains = []
+        if "main" in checks:
+            distinct = list(dict.fromkeys((whole,
+                                           *chain.from_iterable(sides))))
+            for p, param in enumerate(params):
+                table = main_table(p, distinct, sides,
+                                   penalty(sys.total / 2, param.kappa))
+                # every split of a total-degree-0 function holds with slack 0
+                _, count, least, firm, _ = _checked(
+                    "main", table, False, 0 if sys.total else len(table))
+                summary.checked["main"] += count
+                fold("main", least, firm)
+                mains.append(table)
         # bipartitions with equal side-A degrees are isomorphic; with every
-        # value rational they share their records (key None: no sharing)
-        reuse = len(rational) == len(params)
-        decided = {}
-        for mask, bp in enumerate(bps):
-            summary.instances += 1
-            key = sides[mask][0] if reuse else None
-            if not bucketed:    # main alone reads no class sums
-                decided[key] = [[]] * len(params)
-            elif key is None or key not in decided:
-                da, db = bp.degree_a(sys), bp.degree_b(sys)
+        # value rational they share their records, decided on the first
+        keys = ([a for a, _ in sides] if len(rational) == len(params)
+                else range(len(bps)))
+        first = {}
+        for mask, key in enumerate(keys):
+            first.setdefault(key, mask)
+        times = Counter(keys)
+        # per key and parameter, the (check, record) pairs to show
+        shows = dict.fromkeys(first, [[]] * len(params))
+        if bucketed:    # main alone reads no class sums
+            lays = []
+            for mask in first.values():
+                da, db = map(sum, sides[mask])
                 if (da, db) not in layouts:
                     layouts[da, db] = _sweep_layout(da, db)
-                layout = layouts[da, db]
-                triples, lut = layout[:2]
-                # each graph's class: its edges inside A, inside B, across
-                counts = np.bincount(slots + kinds[mask, edge_pairs],
-                                     minlength=3 * len(weighted)).reshape(-1, 3)
-                cls = lut[counts[:, 0], counts[:, 1], counts[:, 2]]
-                sums = np.zeros((len(rows), len(triples)), dtype=object)
-                for total, row in zip(sums, rows):
-                    np.add.at(total, cls, row)
-                totals, *sums = sums.tolist()
+                lays.append((da, db, layouts[da, db]))
+            classes, sums = _class_sums(
+                rows, slots, edge_pairs, kinds[list(first.values())],
+                [layout for _, _, layout in lays])
+            for key, (da, db, layout), cls, (totals, *sums) in zip(
+                    first, lays, classes, sums):
                 sums = iter(sums)
                 lcm = math.lcm(*totals)
                 members = None
@@ -858,7 +938,7 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                     scale = dens[p]
                     if scale is None:   # no key: a -0.0 or NaN must not match
                         if members is None:
-                            members = [[] for _ in triples]
+                            members = [[] for _ in totals]
                             for k, c in enumerate(cls.tolist()):
                                 members[c].append(k)
                         means = [_weighted_mean([values[p][k] for k in idx],
@@ -877,19 +957,22 @@ def run_sweep(params, max_total_degree: int = 8, max_vertices: int = 4,
                             param.kappa, means, scale, layout, checks,
                             everything)
                     records.append(memo[seen])
-                decided[key] = records
-            for p, param in enumerate(params):
-                for check, count, least, firm, shown in (decided[key][p]
-                                                         + mains[p][mask]):
-                    summary.checked[check] += count
+                for check, count, least, firm, _ in chain(*records):
+                    summary.checked[check] += count * times[key]
                     fold(check, least, firm)
-                    if shown:
-                        label = _label(degrees, bp, param)
-                    for counts, lhs, rhs, ok in shown:
-                        result = Verdict(check, lhs, rhs, 0.0, ok, label,
-                                         counts)
-                        if not ok:
-                            summary.violations.append(result)
-                        if everything:
-                            on_record(result)
+                shows[key] = [[(check, r) for check, *_, shown in checked
+                               for r in shown] for checked in records]
+        for mask, key in enumerate(keys):
+            for p, param in enumerate(params):
+                shown = shows[key][p]
+                if mains and (everything or not mains[p][mask][3]):
+                    shown = shown + [("main", mains[p][mask])]
+                if shown:
+                    label = _label(degrees, bps[mask], param)
+                for check, (counts, lhs, rhs, ok) in shown:
+                    result = Verdict(check, lhs, rhs, 0.0, ok, label, counts)
+                    if not ok:
+                        summary.violations.append(result)
+                    if everything:
+                        on_record(result)
     return summary

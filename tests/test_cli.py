@@ -339,6 +339,12 @@ GOLDEN = {
         ["interp-verify", "--sweep", "--max-total-degree", 8, "--param",
          "independence", "--seed", 7, "--format", "json"],
         "e4e1d80bc44d9cc7b41b3dcb950d7115645f4876f150ee3ecec4bf3e6c3696c3"),
+    # n = 5, zero-degree vertices, 32-split main tables, Gray-code max cut
+    "interp-verify-sweep-5": (
+        ["interp-verify", "--sweep", "--max-total-degree", 7,
+         "--max-vertices", 5, "--param", "maxcut", "--param",
+         "neg-components", "--seed", 7],
+        "3661a10bfe4562c879538010eb9d3ef26f71b88076c16baab40ce0fa7db3ebc1"),
     "sample-degrees": (
         ["sample", "--degrees", "3,3,2,2", "--seed", 7],
         "1c1e30e1c508b8dceeb1b29efed7526107391d93ad0bbc5650582e20dd1768dc"),

@@ -297,6 +297,16 @@ def test_enumerate_multigraphs_match_matching_counts():
                 (g, w) for g, w in weighted if len(g.edges) == size]
 
 
+def test_enumerate_multigraphs_builds_canonical_graphs():
+    # the graphs are built unchecked: each must be what the validating
+    # constructor makes of its own edges, with the very same pairs
+    for degrees in degree_functions(4, 8):
+        for g, _ in enumerate_multigraphs(HalfEdgeSystem(degrees)):
+            checked = Multigraph(g.n, g.edges)
+            assert g == checked and g.edges == checked.edges, degrees
+            assert type(g) is type(checked)
+
+
 def test_counts_of_graph_match_counts_of_matching():
     for degrees in degree_functions(3, 6):
         sys = HalfEdgeSystem(degrees)

@@ -26,6 +26,7 @@ from graphlimits.graphs import (
     MAX_CUT,
     NEG_COMPONENTS,
     GraphParameter,
+    Multigraph,
     independence_number,
     ising_parameter,
     potts_parameter,
@@ -443,9 +444,10 @@ def test_run_sweep_small_holds():
     assert min(summary.checked.values()) > 0
 
 
-def test_run_sweep_evaluates_each_graph_once_per_degree_function(monkeypatch):
+def test_run_sweep_evaluates_each_graph_once_per_run(monkeypatch):
     # every check, main included: a rational parameter's E f comes from the
-    # sweep's own sums, so expected_parameter sees only the empty side
+    # sweep's own sums, so expected_parameter sees only the empty side; a
+    # graph met again in a later degree function is not evaluated again
     calls, expected_degrees = [], []
 
     def evaluate(g):
@@ -460,13 +462,18 @@ def test_run_sweep_evaluates_each_graph_once_per_degree_function(monkeypatch):
     counted = GraphParameter("independence", 1.0, evaluate)
     summary = run_sweep([counted], max_total_degree=5, max_vertices=3)
     assert summary.all_hold and min(summary.checked.values()) > 0
-    distinct = 0
+    distinct = set()
     for degrees in degree_functions(3, 5):
         sys = HalfEdgeSystem(degrees)
-        distinct += len({graph_of_matching(sys, m)
-                         for m in enumerate_matchings(sys)})
-    assert len(calls) == distinct + 1
+        distinct |= {graph_of_matching(sys, m) for m in enumerate_matchings(sys)}
+    assert len(distinct) == 26
+    assert len(calls) == len(set(calls)) == len(distinct) + 1
+    assert set(calls) == distinct | {Multigraph(0, ())}
     assert expected_degrees == [()]
+    # nothing is kept from one run to the next
+    calls.clear()
+    assert run_sweep([counted], max_total_degree=5, max_vertices=3) == summary
+    assert len(calls) == len(distinct) + 1
 
 
 def test_run_sweep_keeps_same_named_parameters_apart():
@@ -590,6 +597,15 @@ def test_lipschitz_records_match_the_scalar_oracle(params, max_total_degree):
     want = _fields(_oracle_records(params, max_total_degree, 4))
     assert {r[0] for r in got} == set(CHECKS)
     assert got == want
+
+
+def test_class_sums_in_shares_match_the_scalar_oracle(monkeypatch):
+    # one bipartition per share of the class-sum scatter, as on degree
+    # functions with many graphs
+    monkeypatch.setattr(interpolation, "_SCATTER_CELLS", 1)
+    params = [INDEPENDENCE, ising_parameter(0.5)]
+    assert (_fields(_sweep_records(params, 6, 4))
+            == _fields(_oracle_records(params, 6, 4)))
 
 
 @pytest.mark.parametrize("params", [
